@@ -189,8 +189,7 @@ def cmd_zeta(args):
 # -- descent commands ---------------------------------------------------------
 
 
-def _is_primitive_desc(g):
-    d = descent.DescElem.from_group_alg(g)
+def _is_primitive_desc(d):
     return all(l == () or r == () for (l, r), _ in descent.desc_coproduct(d).items())
 
 
@@ -206,18 +205,19 @@ def cmd_desc(args):
         _emit_elem(args, descent.convolution(g, h).terms)
     elif sub == "check":
         n = args.n
-        sn = descent.solomon(n)
-        dn = descent.dynkin(n)
+        sn = descent.solomon_desc(n)
+        dn = descent.dynkin_desc(n)
         report = {
-            "solomon_idempotent": descent.internal_product(sn, sn) == sn,
+            "solomon_idempotent": sn.internal_product(sn) == sn,
             "solomon_primitive": _is_primitive_desc(sn),
-            "solomon_matches_log_oracle": sn == descent.solomon_log_oracle(n),
+            "solomon_matches_log_oracle": sn == descent.solomon_log_series(n),
             "dynkin_primitive": _is_primitive_desc(dn),
-            "dynkin_quasi_idempotent": descent.internal_product(dn, dn) == dn.scale(n),
+            "dynkin_quasi_idempotent": dn.internal_product(dn) == dn.scale(n),
         }
         if n <= descent.LIE_CHECK_BOUND:
-            report["solomon_lie_valued"] = descent.lie_projection_check(sn)
-            report["dynkin_lie_valued"] = descent.lie_projection_check(dn)
+            pivots = descent.lie_pivots(n)
+            report["solomon_lie_valued"] = descent.lie_projection_check(sn.expand(), pivots)
+            report["dynkin_lie_valued"] = descent.lie_projection_check(dn.expand(), pivots)
         _emit_report(args, report)
 
 

@@ -5,19 +5,26 @@ word y_sigma(1)...y_sigma(n), so a group algebra element acting on the
 multilinear word x1...xn is read off directly from one-line notation.  The
 convolution product of two elements splits the positions into a shuffle,
 acts on each part, and concatenates; the span of the descent sums De is
-closed under it.  Solomon's idempotent is stored on the equal-descent-set
-basis, where the alternating binomial coefficients make it idempotent.
+closed under it.
 
-Everything is degree-bounded (n <= 7) because the carriers grow like n!.
+The descent span has dimension 2^(n-1), one basis element per composition
+of n, and the work runs there: DescElem holds Solomon's idempotent and the
+Dynkin element on the equal-descent-set basis and multiplies on the subset
+basis by Solomon's Mackey formula.  The symmetric group itself appears only
+when an element is printed (DescElem.expand, one pass over S_n) and in the
+n! reference routes the tests compare against: de_equal, de_subset,
+internal_product and convolution on GroupAlgElem, solomon_log_oracle and
+lie_projection_check.  Degrees stop at n = 7 (DEGREE_BOUND).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations as _permutations
 from math import comb
 
 from .exactlin import Fraction, InputError, LinComb, SizeBoundError, format_terms, parse_scalar
-from .words import Word
+from .words import Word, compositions
 
 DEGREE_BOUND = 7
 
@@ -232,19 +239,6 @@ def composition_from_subset(n, S):
     return tuple(comp)
 
 
-def compositions(n):
-    """All compositions of n, by length then lexicographically."""
-    if n == 0:
-        yield ()
-        return
-    subsets = sorted(
-        (frozenset(c) | {n} for k in range(n) for c in combinations(range(1, n), k)),
-        key=lambda S: (len(S), composition_from_subset(n, S)),
-    )
-    for S in subsets:
-        yield composition_from_subset(n, S)
-
-
 def _check_index_set(n, S):
     S = frozenset(S)
     if n not in S or not S <= set(range(1, n + 1)):
@@ -270,36 +264,55 @@ def de_subset(n, S):
     return GroupAlgElem(n, terms)
 
 
-def dynkin(n):
+def dynkin_desc(n):
     """Alternating sum of the initial-segment descent classes.
 
     In degree n this is sum over i of (-1)^i De_{={1..i}}, the left-to-right
-    iterated bracketing [..[[1,2],3]..,n] written in the group algebra.
+    iterated bracketing [..[[1,2],3]..,n]; on the equal basis the class
+    De_{={1..i}} is the hook composition (1^i, n-i).
     """
     _check_degree(n)
     if n < 1:
         raise InputError("dynkin needs n >= 1")
-    out = GroupAlgElem(n)
-    for i in range(n):
-        out = out + de_equal(n, frozenset(range(1, i + 1)) | {n}).scale((-1) ** i)
-    return out
+    return DescElem(n, "equal", {(1,) * i + (n - i,): (-1) ** i for i in range(n)})
 
 
-def solomon(n):
+def solomon_desc(n):
     """The canonical idempotent projecting onto the free Lie part.
 
-    On the equal-descent-set basis the coefficient of De_{=S'} depends only
-    on |S'|: it is (-1)^|S'| / (n * binom(n-1, |S'|)).
+    On the equal-descent-set basis the coefficient of a composition of
+    length k + 1 (k descents) is (-1)^k / (n * binom(n-1, k)).
     """
     _check_degree(n)
     if n < 1:
         raise InputError("solomon needs n >= 1")
-    out = GroupAlgElem(n)
-    for k in range(n):
-        coeff = Fraction((-1) ** k, n * comb(n - 1, k))
-        for S in combinations(range(1, n), k):
-            out = out + de_equal(n, frozenset(S) | {n}).scale(coeff)
-    return out
+    coeffs = {
+        c: Fraction((-1) ** (len(c) - 1), n * comb(n - 1, len(c) - 1)) for c in compositions(n)
+    }
+    return DescElem(n, "equal", coeffs)
+
+
+def solomon_log_series(n):
+    """Logarithm of the identity in the convolution algebra, on the subset basis.
+
+    The coefficient of a composition of length k is (-1)^(k-1)/k; this is
+    the series solomon_log_oracle sums in the group algebra.
+    """
+    _check_degree(n)
+    if n < 1:
+        raise InputError("needs n >= 1")
+    coeffs = {c: Fraction((-1) ** (len(c) - 1), len(c)) for c in compositions(n)}
+    return DescElem(n, "subset", coeffs)
+
+
+def dynkin(n):
+    """The Dynkin element dynkin_desc(n) in the group algebra."""
+    return dynkin_desc(n).expand()
+
+
+def solomon(n):
+    """Solomon's idempotent solomon_desc(n) in the group algebra."""
+    return solomon_desc(n).expand()
 
 
 def solomon_log_oracle(n):
@@ -461,12 +474,51 @@ class DescElem:
         return DescElem(self.n, "equal", coeffs)
 
     def expand(self):
-        """The underlying group algebra element."""
-        eq = self.to_equal()
-        out = GroupAlgElem(self.n)
-        for comp, c in eq.coeffs.items():
-            out = out + de_equal(self.n, subset_from_composition(comp)).scale(c)
-        return out
+        """The underlying group algebra element, from one pass over S_n."""
+        n = self.n
+        by_descents = {
+            subset_from_composition(comp) - {n}: c for comp, c in self.to_equal().coeffs.items()
+        }
+        terms = {}
+        for p in permutations_of(n):
+            c = by_descents.get(p.descent_set())
+            if c is not None:
+                terms[p] = c
+        return GroupAlgElem(n, terms)
+
+    def internal_product(self, other):
+        """The internal product by Solomon's Mackey formula on the subset basis.
+
+        De_p . De_q is the sum of De_r(M) over the matrices M of non-negative
+        integers with row sums p and column sums q, where r(M) reads the
+        nonzero entries of M row by row.  This agrees with internal_product
+        on the expansions.  The matrices are filled one row at a time,
+        memoized within the call on (rows still to fill, column sums still
+        open); a column whose sum is used up holds only zeros below, so it
+        is dropped from the key.
+        """
+        self._same(other)
+        fillings = cache(lambda total, cols: tuple(_row_fillings(total, cols)))
+
+        @cache
+        def readings(rows, cols):
+            if not rows:
+                return {(): 1}
+            out = {}
+            for piece, left in fillings(rows[0], cols):
+                for reading, m in readings(rows[1:], left).items():
+                    r = piece + reading
+                    out[r] = out.get(r, 0) + m
+            return out
+
+        right = other.to_subset().coeffs.items()
+        coeffs = {}
+        for p, c in self.to_subset().coeffs.items():
+            for q, d in right:
+                cd = c * d
+                for r, m in readings(p, q).items():
+                    coeffs[r] = coeffs.get(r, 0) + m * cd
+        return DescElem(self.n, "subset", coeffs)
 
     @classmethod
     def from_group_alg(cls, g):
@@ -522,6 +574,23 @@ def parse_composition(text):
     return comp
 
 
+def _row_fillings(total, cols):
+    """Ways to spread total over the columns, entry j at most cols[j].
+
+    Yields (the nonzero entries in column order, the nonzero column sums left).
+    """
+    if not cols:
+        if total == 0:
+            yield (), ()
+        return
+    head, tail = cols[0], cols[1:]
+    for x in range(max(0, total - sum(tail)), min(head, total) + 1):
+        for piece, left in _row_fillings(total - x, tail):
+            if x:
+                piece = (x,) + piece
+            yield piece, ((head - x,) + left if x < head else left)
+
+
 def _coarsenings(comp):
     """All compositions obtained by merging adjacent blocks of comp."""
     k = len(comp)
@@ -541,25 +610,25 @@ def desc_coproduct(d):
     with a + b = ij, zero parts being dropped.  Returns a linear
     combination keyed by pairs (left composition, right composition).
     """
-    d = d.to_subset()
-    out = LinComb.zero()
-    for comp, c in d.coeffs.items():
-        pieces = LinComb.single(((), ()), c)
+    out = {}
+    for comp, c in d.to_subset().coeffs.items():
+        pieces = {((), ()): 1}
         for part in comp:
-            step = LinComb.zero()
-            for (left, right), cc in pieces.items():
+            step = {}
+            for (left, right), m in pieces.items():
                 for a in range(part + 1):
                     b = part - a
-                    new_left = left + (a,) if a else left
-                    new_right = right + (b,) if b else right
-                    step = step + LinComb.single((new_left, new_right), cc)
+                    key = (left + (a,) if a else left, right + (b,) if b else right)
+                    step[key] = step.get(key, 0) + m
             pieces = step
-        out = out + pieces
-    return out
+        for key, m in pieces.items():
+            out[key] = out.get(key, 0) + m * c
+    return LinComb(out)
 
 
-def _lie_pivots(n):
+def lie_pivots(n):
     """Row-reduced spanning set for the multilinear Lie words of degree n."""
+    _check_lie_degree(n)
     rows = []
     for tau in _permutations(range(1, n + 1)):
         elt = {(tau[0],): Fraction(1)}
@@ -598,18 +667,25 @@ def _row_reduce(row, pivots):
 LIE_CHECK_BOUND = 6
 
 
-def lie_projection_check(g):
+def _check_lie_degree(n):
+    if n > LIE_CHECK_BOUND:
+        raise SizeBoundError(f"size bound: the Lie membership test stops at n = {LIE_CHECK_BOUND}")
+
+
+def lie_projection_check(g, pivots=None):
     """Does g send the multilinear word x1...xn into the free Lie algebra?
 
     The image is the sum of c_sigma x_sigma(1)..x_sigma(n); membership is
     tested against a row reduction of the left-bracketed spanning words.
+    Pass pivots = lie_pivots(g.n) to test several elements of one degree
+    against one reduction.
     """
     n = g.n
-    if n > LIE_CHECK_BOUND:
-        raise SizeBoundError(f"size bound: the Lie membership test stops at n = {LIE_CHECK_BOUND}")
+    _check_lie_degree(n)
     if n == 0:
         return not g
-    pivots = _lie_pivots(n)
+    if pivots is None:
+        pivots = lie_pivots(n)
     vec = {p.images: c for p, c in g.terms.items() if c}
     _, lead = _row_reduce(vec, pivots)
     return lead is None

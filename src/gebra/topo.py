@@ -34,6 +34,7 @@ from .exactlin import (
     ZERO,
     format_terms,
 )
+from .words import compositions
 
 CANON_BOUND = 8
 OPENS_BOUND = 15
@@ -872,13 +873,6 @@ def surjection_count(n, k):
     return sum((-1) ** j * comb(k + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
 
 
-def _compositions(n):
-    for cuts in range(n):
-        for pos in combinations(range(1, n), cuts):
-            bounds = (0,) + pos + (n,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 def closed_form_e(kind, n):
     """Closed forms for the Eulerian idempotent on the two named families."""
     if n < 2:
@@ -887,7 +881,7 @@ def closed_form_e(kind, n):
         raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
     if kind == "ladder":
         out = LinComb.zero()
-        for c in _compositions(n):
+        for c in compositions(n):
             k = len(c)
             acc = QuasiOrder(0)
             for part in c:

@@ -234,6 +234,17 @@ def _cuts(n, k):
     return combinations(range(1, n), k - 1)
 
 
+def compositions(n):
+    """All compositions of n, by length then lexicographically."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(1, n + 1):
+        for cuts in _cuts(n, k):
+            bounds = (0,) + cuts + (n,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def _blocks(w, cuts):
     bounds = (0,) + cuts + (len(w),)
     return tuple(w[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1))

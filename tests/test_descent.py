@@ -21,6 +21,7 @@ from gebra.descent import (
     de_subset,
     desc_coproduct,
     dynkin,
+    dynkin_desc,
     internal_product,
     lie_projection_check,
     parse_composition,
@@ -28,7 +29,9 @@ from gebra.descent import (
     parse_permutation,
     permutations_of,
     solomon,
+    solomon_desc,
     solomon_log_oracle,
+    solomon_log_series,
     subset_from_composition,
 )
 
@@ -201,6 +204,37 @@ def test_descent_span_is_closed_under_internal_product():
                 DescElem.basis_elem(3, a).expand(), DescElem.basis_elem(3, b).expand()
             )
             DescElem.from_group_alg(prod)  # must not raise
+
+
+def test_mackey_product_matches_internal_product():
+    # rows of the Mackey matrices carry the left factor, and r(M) reads
+    # them row by row; the column-by-column reading fails at n = 3
+    for n in range(1, 6):
+        basis = {c: DescElem.basis_elem(n, c, "subset") for c in compositions(n)}
+        expanded = {c: b.expand() for c, b in basis.items()}
+        for p in basis:
+            for q in basis:
+                got = basis[p].internal_product(basis[q])
+                assert got.basis == "subset"
+                assert got.expand() == internal_product(expanded[p], expanded[q]), (p, q)
+
+
+def test_expand_matches_de_equal():
+    for n in range(1, 6):
+        for c in compositions(n):
+            got = DescElem.basis_elem(n, c, "equal").expand()
+            assert got == de_equal(n, subset_from_composition(c))
+
+
+def test_descent_elements_match_their_expansions():
+    for n in range(1, 6):
+        sol, dyn = solomon_desc(n), dynkin_desc(n)
+        assert sol == DescElem.from_group_alg(solomon(n))
+        assert dyn == DescElem.from_group_alg(dynkin(n))
+        assert sol == solomon_log_series(n)
+        assert solomon_log_series(n).expand() == solomon_log_oracle(n)
+        assert sol.internal_product(sol) == sol
+        assert dyn.internal_product(dyn) == dyn.scale(n)
 
 
 def test_from_group_alg_rejects_non_descent_elements():
