@@ -8,6 +8,12 @@ decompositions, reading each bracket of blocks as one output letter; it is
 unital and coassociative by construction, and associativity, commutativity
 and triviality are bounded checks.
 
+The product is computed by recursion over the first cut of each factor,
+<w[:i], w'[:j]> (w[i:] * w'[j:]), visiting only the cut pairs inside the
+bracket's support and memoizing the suffix pairs in a dict that lives for
+one top-level call (induced_product's memo argument); no product is cached
+on the structure between calls.
+
 Three modes exist: "shuffle" (zero bracket), "quasi_shuffle" (a semigroup
 product on the letters, applied to letter pairs only), and "explicit" (a
 finite table with a declared word-length bound; evaluation outside the bound
@@ -26,15 +32,15 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .exactlin import Fraction, InputError, LinComb
+from .exactlin import InputError, LinComb, lin_sum
 from .words import (
     Alphabet,
     Word,
-    alphabet_of,
     as_tensor,
     concat_expand,
     parse_tensor,
     parse_word,
+    prefixed,
 )
 
 SHUFFLE = "shuffle"
@@ -45,7 +51,7 @@ EXPLICIT = "explicit"
 class BInftyStructure:
     """A bracket <-,->: T(V) x T(V) -> V presented by mode and table."""
 
-    __slots__ = ("alphabet", "mode", "mult", "table", "bound", "_prod_memo")
+    __slots__ = ("alphabet", "mode", "mult", "table", "bound", "support")
 
     def __init__(self, alphabet, mode, mult=None, table=None, bound=None):
         if mode not in (SHUFFLE, QUASI_SHUFFLE, EXPLICIT):
@@ -55,7 +61,11 @@ class BInftyStructure:
         self.mult = None
         self.table = None
         self.bound = None
-        self._prod_memo = {}
+        # Longest nonempty words the bracket can pair to nonzero: none in
+        # shuffle mode, letters in quasi-shuffle mode.  Explicit tables
+        # promise nothing (None) and are always evaluated, so that a word
+        # past the table bound raises instead of reading as zero.
+        self.support = {SHUFFLE: 0, QUASI_SHUFFLE: 1, EXPLICIT: None}[mode]
         if mode == QUASI_SHUFFLE:
             if mult is None:
                 raise InputError("quasi_shuffle mode needs a multiplication table")
@@ -132,11 +142,11 @@ class BInftyStructure:
         """Bilinear extension of the bracket to combinations of words."""
         x = as_tensor(x)
         y = as_tensor(y)
-        out = LinComb.zero()
-        for w, c in x.terms.items():
-            for w2, c2 in y.terms.items():
-                out = out + (c * c2) * self.bracket(w, w2)
-        return out
+        return lin_sum(
+            (c * c2, self.bracket(w, w2))
+            for w, c in x.terms.items()
+            for w2, c2 in y.terms.items()
+        )
 
     def is_degree_graded(self):
         """True when every stored bracket value preserves total degree."""
@@ -153,54 +163,59 @@ class BInftyStructure:
         )
 
 
-def bracket_eval(B, w, w2):
-    return B.bracket(w, w2)
+def _product_words(B, w, w2, memo):
+    """w * w2 by its first cut: the sum of <w[:i], w2[:j]> (w[i:] * w2[j:]).
 
-
-def _prefix_pairs(w, w2):
-    for i in range(len(w) + 1):
-        for j in range(len(w2) + 1):
-            if i == 0 and j == 0:
-                continue
-            yield w[:i], w[i:], w2[:j], w2[j:]
-
-
-def _product_words(B, w, w2):
-    memo = B._prod_memo
-    hit = memo.get((w, w2))
+    By the unit rules an empty first block leaves (0, 1) and (1, 0), whose
+    bracket is the other side's first letter; two nonempty first blocks
+    are bracketed only within the support.  The cuts are visited in the
+    order of the full double loop over i, then j, which fixes the pair an
+    out-of-bound explicit table names in its error.
+    """
+    key = (w.idx, w2.idx)  # one structure, hence one alphabet, per memo
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    if w.is_empty() and w2.is_empty():
-        out = LinComb.single(w)
-    else:
-        out = LinComb.zero()
-        for a, rest_a, b, rest_b in _prefix_pairs(w, w2):
-            head = B.bracket(a, b)
-            if not head:
-                continue
-            tail = _product_words(B, rest_a, rest_b)
-            if not tail:
-                continue
-            out = out + head.apply(lambda u: tail.map_keys(lambda v: u * v))
-    memo[(w, w2)] = out
+    n, n2 = len(w), len(w2)
+    parts = []
+    if n2:
+        parts.append((1, prefixed(w2[:1], _product_words(B, w, w2[1:], memo))))
+    if n:
+        parts.append((1, prefixed(w[:1], _product_words(B, w[1:], w2, memo))))
+    if n and n2:
+        support = B.support
+        top = n if support is None else min(n, support)
+        top2 = n2 if support is None else min(n2, support)
+        for i in range(1, top + 1):
+            for j in range(1, top2 + 1):
+                head = B.bracket(w[:i], w2[:j])
+                if head:
+                    tail = _product_words(B, w[i:], w2[j:], memo)
+                    parts.extend((c, prefixed(u, tail)) for u, c in head.terms.items())
+    out = lin_sum(parts) if parts else LinComb.single(w)  # 1 * 1 = 1
+    memo[key] = out
     return out
 
 
-def induced_product(B, x, y):
+def induced_product(B, x, y, memo=None):
     """The product induced by the bracket, extended bilinearly.
 
     For words it is the sum over pairs of decompositions of both arguments
     into the same number of possibly-empty blocks, each index contributing
     one bracketed letter.  The empty-against-empty index vanishes, so the
-    sum is finite; 1 * 1 = 1.
+    sum is finite; 1 * 1 = 1.  A caller making many products in one
+    computation passes one dict as memo; it holds word-pair products and
+    is dropped with the caller's frame.
     """
     x = as_tensor(x)
     y = as_tensor(y)
-    out = LinComb.zero()
-    for w, c in x.terms.items():
-        for w2, c2 in y.terms.items():
-            out = out + (c * c2) * _product_words(B, w, w2)
-    return out
+    if memo is None:
+        memo = {}
+    return lin_sum(
+        (c * c2, _product_words(B, w, w2, memo))
+        for w, c in x.terms.items()
+        for w2, c2 in y.terms.items()
+    )
 
 
 def surjection_product_oracle(B, w, w2):
@@ -333,7 +348,7 @@ def check_axioms(B, length_budget):
     return {"unit": unit, "assoc": assoc, "comm": comm, "trivial": trivial}
 
 
-_MODE_NAMES = {
+MODE_NAMES = {
     "shuffle": SHUFFLE,
     "qshuffle": QUASI_SHUFFLE,
     "quasi_shuffle": QUASI_SHUFFLE,
@@ -358,7 +373,7 @@ def parse_bracket_file(text, alphabet=None):
         low = line.lower()
         if low.startswith("mode:"):
             tag = line.split(":", 1)[1].strip()
-            mode = _MODE_NAMES.get(tag)
+            mode = MODE_NAMES.get(tag)
             if mode is None:
                 raise InputError(f"unknown mode {tag!r}")
         elif low.startswith("alphabet:"):

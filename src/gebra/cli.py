@@ -17,6 +17,7 @@ import re
 import sys
 
 from .binfty import (
+    MODE_NAMES,
     QUASI_SHUFFLE,
     BInftyStructure,
     check_axioms,
@@ -32,11 +33,9 @@ from .idem import (
     varpi,
     zeta_tilde,
 )
-from .words import Alphabet, parse_tensor, parse_word
+from .words import IDENT, Alphabet, check_word_bound, parse_tensor, parse_word
 from . import descent
 from . import topo
-
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 # -- output helpers -----------------------------------------------------------
@@ -85,19 +84,11 @@ def _infer_alphabet(texts):
     for t in texts:
         for tok in re.split(r"[+*,\s]+", t):
             for part in tok.split("."):
-                if _IDENT.match(part):
+                if IDENT.match(part):
                     names.add(part)
     if not names:
         raise InputError("cannot infer an alphabet; give --alphabet or --table")
     return Alphabet(sorted(names))
-
-
-_MODES = {
-    "shuffle": "shuffle",
-    "qshuffle": "quasi_shuffle",
-    "quasi_shuffle": "quasi_shuffle",
-    "explicit": "explicit",
-}
 
 
 def _structure(args, texts):
@@ -113,7 +104,7 @@ def _structure(args, texts):
         except OSError as exc:
             raise InputError(f"cannot read table file {table}: {exc}") from None
         B = parse_bracket_file(text, alphabet)
-        if mode and _MODES.get(mode) != B.mode:
+        if mode and MODE_NAMES.get(mode) != B.mode:
             raise InputError(f"--mode {mode} contradicts the table file ({B.mode})")
         return B
     if mode in (None, "shuffle"):
@@ -147,6 +138,7 @@ def cmd_binf_prod(args):
     B = _structure(args, [args.word, args.word2])
     w = parse_word(args.word, B.alphabet)
     w2 = parse_word(args.word2, B.alphabet)
+    check_word_bound(len(w) + len(w2))
     _emit_elem(args, induced_product(B, w, w2))
 
 
@@ -158,12 +150,14 @@ def cmd_binf_check(args):
 def cmd_eulerian(args):
     B = _structure(args, [args.word])
     w = parse_word(args.word, B.alphabet)
+    check_word_bound(len(w))
     _emit_elem(args, eulerian_idempotent(B, w))
 
 
 def cmd_varpi(args):
     B = _structure(args, [args.word])
     w = parse_word(args.word, B.alphabet)
+    check_word_bound(len(w))
     _emit_elem(args, varpi(B, w))
 
 
@@ -174,15 +168,20 @@ def cmd_hoffman(args):
     _emit_elem(args, fn(B, w))
 
 
-def cmd_omega(args):
+def _bounded_tensor(args):
     B = _structure(args, [args.expr])
     x = parse_tensor(args.expr, B.alphabet)
+    check_word_bound(max(map(len, x.terms), default=0))
+    return B, x
+
+
+def cmd_omega(args):
+    B, x = _bounded_tensor(args)
     _emit_elem(args, omega_tilde(B, x))
 
 
 def cmd_zeta(args):
-    B = _structure(args, [args.expr])
-    x = parse_tensor(args.expr, B.alphabet)
+    B, x = _bounded_tensor(args)
     _emit_elem(args, zeta_tilde(B, x))
 
 
@@ -265,7 +264,7 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="emit the JSON term schema")
     tbl = argparse.ArgumentParser(add_help=False)
     tbl.add_argument("--table", metavar="FILE", help="bracket table file")
-    tbl.add_argument("--mode", choices=sorted(_MODES), help="structure mode when no table is given")
+    tbl.add_argument("--mode", choices=sorted(MODE_NAMES), help="structure mode when no table is given")
     tbl.add_argument("--alphabet", metavar="SPEC", help='letters, e.g. "a,b" or "a:1,b:2"')
 
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")

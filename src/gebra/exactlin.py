@@ -184,14 +184,15 @@ class LinComb:
         clean = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[k] = c
         self.terms = clean
 
     @classmethod
-    def single(cls, key, coeff=1):
-        return cls({key: Fraction(coeff)})
+    def single(cls, key, coeff=ONE):
+        return cls({key: coeff})
 
     @classmethod
     def zero(cls):
@@ -250,11 +251,7 @@ class LinComb:
 
     def apply(self, f):
         """Linear extension: sum of coeff * f(key), f returning a LinComb."""
-        out = {}
-        for k, c in self.terms.items():
-            for k2, c2 in f(k).terms.items():
-                out[k2] = out.get(k2, ZERO) + c * c2
-        return LinComb(out)
+        return lin_sum((c, f(k)) for k, c in self.terms.items())
 
     def map_keys(self, f):
         """Push forward along a key map; colliding images accumulate."""
@@ -266,6 +263,26 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self.terms!r})"
+
+
+def lin_sum(pairs):
+    """The combination sum of c * x over the (c, x) pairs, in one dict.
+
+    x is a LinComb or a plain dict key -> coefficient; a coefficient c of 1
+    adds x unscaled.  This is the one accumulation idiom of the word side:
+    nothing is copied or re-normalized per summand.
+    """
+    out = {}
+    get = out.get
+    for c, x in pairs:
+        terms = x.terms if isinstance(x, LinComb) else x
+        scaled = c != 1
+        for k, v in terms.items():
+            if scaled:
+                v = c * v
+            prev = get(k)
+            out[k] = v if prev is None else prev + v
+    return LinComb(out)
 
 
 def tensor_pair(x, y):

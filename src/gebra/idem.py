@@ -8,17 +8,26 @@ coalgebra yields a Hopf isomorphism omega onto the shuffle algebra, whose
 inverse zeta admits both a direct recursion and the generic inverse of the
 coalgebra endomorphism.  For quasi-shuffle structures both specialize to
 Hoffman's logarithm and exponential in closed form.
+
+None of the sums over the 2^(n-1) block decompositions is enumerated.  They
+are recursions over cut positions with O(n^2) sub-results: e and varpi by a
+Horner scheme over prefixes of the left-folded block products (bilinearity
+only, no associativity assumed), and the lifts in omega and zeta by
+words.memo_lift.  Each top-level call keeps its own product memo and, for
+omega and zeta, its own varpi cache; nothing is cached between calls.
+Hoffman's closed forms stay apart as the independent check on the
+quasi-shuffle case.
 """
 
 from __future__ import annotations
 
-from .exactlin import Fraction, InputError, LinComb
+from functools import cache
+
+from .exactlin import Fraction, InputError, LinComb, lin_sum
 from .words import (
-    alphabet_of,
     as_tensor,
-    block_decompositions,
-    cofree_lift,
-    concat_expand,
+    memo_lift,
+    prefixed,
     structure_endo,
 )
 from .binfty import QUASI_SHUFFLE, BInftyStructure, induced_product
@@ -28,6 +37,62 @@ def _letter_part(x):
     return LinComb({u: c for u, c in x.terms.items() if len(u) == 1})
 
 
+def _left_fold_sum(B, w, coeffs, memo, maxlen=None):
+    """Sum over k of coeffs[k-1] times the decompositions of w into k blocks,
+    each read as the left-folded product ((b1 b2) b3) ... bk.
+
+    With L_k(j) the k-block fold sum of the prefix w[:j] and
+    G_m(j) = sum over k of coeffs[k+m-1] L_k(j), the Horner step
+    G_m(j) = coeffs[m] w[:j] + sum over 0 < i < j of G_{m+1}(i) w[i:j]
+    uses only L_k(j) = sum over i of L_{k-1}(i) w[i:j]; the answer is G_0(n).
+    maxlen drops longer words from every G; this is exact only for a
+    structure whose bracket vanishes past letters, where no product is
+    shorter than its longer factor.
+    """
+    n = len(w)
+    if n == 0:
+        return LinComb.zero()
+    top = n if maxlen is None else maxlen
+    prev = None
+    for m in range(n - 1, -1, -1):
+        cur = [None] * (n - m + 1)
+        for j in range(1, n - m + 1):
+            parts = [(coeffs[m], LinComb.single(w[:j]))] if j <= top else []
+            parts += [
+                (1, induced_product(B, prev[i], w[i:j], memo))
+                for i in range(max(1, j - top), j)
+                if prev[i]
+            ]
+            g = lin_sum(parts)
+            if top < n:
+                g = LinComb({u: c for u, c in g.terms.items() if len(u) <= top})
+            cur[j] = g
+        prev = cur
+    return prev[n]
+
+
+def _signed_reciprocals(n, shift=0):
+    """(-1)^(k-1+shift) / (k+shift) for k = 1..n."""
+    return [Fraction((-1) ** (k - 1 + shift), k + shift) for k in range(1, n + 1)]
+
+
+def _varpi_word(B, w, memo):
+    """<w[:i], T_i> summed over heads, T_i the alternating fold sum of w[i:].
+
+    A head longer than the bracket's support brackets to zero against every
+    nonempty word and is skipped, and T_i is needed only up to the support.
+    """
+    n = len(w)
+    if n <= 1:
+        return LinComb.single(w) if n else LinComb.zero()
+    support = B.support
+    parts = []
+    for i in range(1, n if support is None else min(n, support + 1)):
+        tail = _left_fold_sum(B, w[i:], _signed_reciprocals(n - i, 1), memo, support)
+        parts.append((1, B.bracket_elem(w[:i], tail)))
+    return lin_sum(parts)
+
+
 def eulerian_idempotent(B, x):
     """The canonical idempotent e of the induced Hopf product.
 
@@ -35,18 +100,11 @@ def eulerian_idempotent(B, x):
     decompositions into k nonempty blocks of (-1)^(k-1)/k times the induced
     product of the blocks.  It kills the unit word and fixes letters.
     """
-    x = as_tensor(x)
-    out = LinComb.zero()
-    for w, c in x.terms.items():
-        n = len(w)
-        for k in range(1, n + 1):
-            coeff = c * Fraction((-1) ** (k - 1), k)
-            for blocks in block_decompositions(w, k):
-                prod = LinComb.single(blocks[0])
-                for b in blocks[1:]:
-                    prod = induced_product(B, prod, b)
-                out = out + coeff * prod
-    return out
+    memo = {}
+    return lin_sum(
+        (c, _left_fold_sum(B, w, _signed_reciprocals(len(w)), memo))
+        for w, c in as_tensor(x).terms.items()
+    )
 
 
 def varpi(B, x):
@@ -55,21 +113,14 @@ def varpi(B, x):
     Evaluates as the alternating sum of brackets <w1, w2 * ... * wk> over
     block decompositions; the one-block term is the projection onto V.
     """
-    x = as_tensor(x)
-    out = LinComb.zero()
-    for w, c in x.terms.items():
-        n = len(w)
-        if n == 1:
-            out = out + LinComb.single(w, c)
-            continue
-        for k in range(2, n + 1):
-            coeff = c * Fraction((-1) ** (k - 1), k)
-            for blocks in block_decompositions(w, k):
-                tail = LinComb.single(blocks[1])
-                for b in blocks[2:]:
-                    tail = induced_product(B, tail, b)
-                out = out + coeff * B.bracket_elem(blocks[0], tail)
-    return out
+    memo = {}
+    return lin_sum((c, _varpi_word(B, w, memo)) for w, c in as_tensor(x).terms.items())
+
+
+def _cached_varpi(B):
+    """varpi on single words, cached for as long as it is kept."""
+    products = {}
+    return cache(lambda w: _varpi_word(B, w, products))
 
 
 class TangentEndo:
@@ -138,7 +189,7 @@ def omega_tilde(B, x, endo=None):
     if not x:
         return x
     if endo is None:
-        pi = lambda w: varpi(B, w)
+        pi = _cached_varpi(B)
     else:
         if not endo.verify(B):
             raise InputError("not tangent to identity")
@@ -156,29 +207,26 @@ def zeta_tilde(B, x):
     x = as_tensor(x)
     if not x:
         return x
-    alph = alphabet_of(x)
-    memo = {}
+    vp = _cached_varpi(B)
 
+    @cache
     def zeta(w):
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
         n = len(w)
         if n == 0:
             raise InputError("partial map: no value for the unit word")
         if n == 1:
-            val = LinComb.single(w)
-        else:
-            total = LinComb.zero()
-            for k in range(2, n + 1):
-                for blocks in block_decompositions(w, k):
-                    img = concat_expand([zeta(b) for b in blocks], alph)
-                    total = total + varpi(B, img)
-            val = -total
-        memo[w] = val
-        return val
+            return LinComb.single(w)
+        # the patterns of two or more blocks: a proper prefix, then any
+        # decomposition of the rest
+        patterns = lin_sum(
+            (c, prefixed(u, lift(w[j:])))
+            for j in range(1, n)
+            for u, c in zeta(w[:j]).terms.items()
+        )
+        return -patterns.apply(vp)
 
-    return cofree_lift(zeta, x)
+    lift = memo_lift(zeta)
+    return lin_sum((c, lift(w)) for w, c in x.terms.items())
 
 
 def _fold_mult(B_or_mult, w):

@@ -233,6 +233,13 @@ class QuasiOrder:
         return f"QuasiOrder({self.n}, {self.rows!r})"
 
 
+def _check_vertex_count(n):
+    """Refuse, before anything is allocated, more vertices than any
+    topology computation here can take."""
+    if n > OPENS_BOUND:
+        raise SizeBoundError(f"size bound: topologies stop at n = {OPENS_BOUND}")
+
+
 def parse_topology(text):
     """Parse "n; 1<2, 2~3" (reflexive-transitive closure of the generators)."""
     text = text.strip()
@@ -245,6 +252,7 @@ def parse_topology(text):
         raise InputError(f"bad vertex count {head.strip()!r}") from None
     if n < 0:
         raise InputError("negative vertex count")
+    _check_vertex_count(n)
     rows = [1 << i for i in range(n)]
     if sep:
         for part in tail.split(","):
@@ -383,6 +391,7 @@ def ladder(n):
     """The chain on n vertices."""
     if n < 1:
         raise InputError("a ladder has at least one vertex")
+    _check_vertex_count(n)
     rows = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
     return QuasiOrderClass(QuasiOrder(n, rows))
 
@@ -391,6 +400,7 @@ def corolla(n):
     """One minimal vertex below n-1 pairwise incomparable ones."""
     if n < 2:
         raise InputError("a corolla has at least two vertices")
+    _check_vertex_count(n)
     rows = [(1 << n) - 1] + [1 << i for i in range(1, n)]
     return QuasiOrderClass(QuasiOrder(n, rows))
 

@@ -13,11 +13,17 @@ reads like "3/2*a.b + -1*c".
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import combinations, product
 
-from .exactlin import Fraction, InputError, LinComb
+from .exactlin import Fraction, InputError, LinComb, SizeBoundError, lin_sum
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# Longest word (for products: total length of both factors) that the
+# word-side commands accept.  At the bound, the slowest case is the Eulerian
+# idempotent of eight distinct letters in shuffle mode (see README.md).
+WORD_BOUND = 8
 
 
 class Alphabet:
@@ -48,7 +54,7 @@ class Alphabet:
         letters = []
         degrees = []
         for name, deg in entries:
-            if not _IDENT.match(name):
+            if not IDENT.match(name):
                 raise InputError(f"bad letter name {name!r}")
             try:
                 deg = int(deg)
@@ -119,6 +125,14 @@ class Word:
         self.alphabet = alphabet
         self.idx = idx
 
+    @classmethod
+    def _trusted(cls, alphabet, idx):
+        """A word from an index tuple already known to be valid."""
+        w = object.__new__(cls)
+        w.alphabet = alphabet
+        w.idx = idx
+        return w
+
     def __len__(self):
         return len(self.idx)
 
@@ -151,14 +165,14 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise InputError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.idx + other.idx)
+        return Word._trusted(self.alphabet, self.idx + other.idx)
 
     def __getitem__(self, sl):
         if not isinstance(sl, slice):
             raise TypeError("words only support slicing")
-        return Word(self.alphabet, self.idx[sl])
+        return Word._trusted(self.alphabet, self.idx[sl])
 
     def __str__(self):
         if not self.idx:
@@ -167,11 +181,6 @@ class Word:
 
     def __repr__(self):
         return f"Word({str(self)!r})"
-
-
-def concat(w, w2):
-    """Concatenation; the product of the free associative algebra."""
-    return w * w2
 
 
 def parse_word(text, alphabet):
@@ -209,10 +218,10 @@ def parse_tensor(text, alphabet):
     return LinComb(out)
 
 
-def format_tensor(x):
-    from .exactlin import format_terms
-
-    return format_terms(x)
+def check_word_bound(length):
+    """Refuse, before any work, a word-side computation past WORD_BOUND."""
+    if length > WORD_BOUND:
+        raise SizeBoundError(f"size bound: word-side computations stop at length {WORD_BOUND}")
 
 
 def as_tensor(x):
@@ -360,41 +369,47 @@ def concat_expand(factors, alphabet):
     """Distribute a list of letter combinations into one combination of words."""
     acc = LinComb.single(alphabet.empty_word())
     for f in factors:
-        if not f:
-            return LinComb.zero()
-        out = {}
-        for u, c in acc.terms.items():
-            for v, d in f.terms.items():
-                w = u * v
-                cd = c * d
-                prev = out.get(w)
-                out[w] = cd if prev is None else prev + cd
-        acc = LinComb(out)
+        acc = lin_sum((d, {u * v: c for u, c in acc.terms.items()}) for v, d in f.terms.items())
     return acc
+
+
+def prefixed(u, x):
+    """The terms of x with the word u concatenated in front, as a dict."""
+    return {u * v: c for v, c in x.terms.items()}
+
+
+def memo_lift(phi):
+    """The lift of phi on single words, cached for as long as it is kept.
+
+    lift(w) is the sum, over the decompositions of w into nonempty blocks,
+    of phi(block 1)...phi(block k) concatenated; the unit word lifts to
+    itself.  It is computed by the cut recursion
+    lift(w) = sum over j of phi(w[:j]) lift(w[j:]), which calls phi once
+    per subword instead of once per block of each of 2^(n-1)
+    decompositions, and shares the lifts of common suffixes.
+    """
+
+    @cache
+    def lift(w):
+        if w.is_empty():
+            return LinComb.single(w)
+        heads = [(j, phi(w[:j])) for j in range(1, len(w) + 1)]
+        return lin_sum(
+            (c, prefixed(u, lift(w[j:]))) for j, head in heads for u, c in head.terms.items()
+        )
+
+    return lift
 
 
 def cofree_lift(phi, d):
     """Universal lift of phi through the cofree tensor coalgebra.
 
     Sends d to eps(d)*1 + sum over n >= 1 of phi tensored n times applied to
-    the n-fold reduced coproduct of the augmentation-reduced part of d.
+    the n-fold reduced coproduct of the augmentation-reduced part of d,
+    computed word by word with memo_lift.
     """
-    phi = _as_callable(phi)
-    d = as_tensor(d)
-    if not d:
-        return d
-    alph = alphabet_of(d)
-    empty = alph.empty_word()
-    eps = d.coeff(empty)
-    out = LinComb.single(empty, eps) if eps else LinComb.zero()
-    reduced = d - LinComb.single(empty, eps) if eps else d
-    if not reduced:
-        return out
-    top = max(len(w) for w in reduced.terms)
-    for n in range(1, top + 1):
-        for blocks, c in reduced_coproduct_iter(reduced, n).terms.items():
-            out = out + c * concat_expand([phi(b) for b in blocks], alph)
-    return out
+    lift = memo_lift(_as_callable(phi))
+    return lin_sum((c, lift(w)) for w, c in as_tensor(d).terms.items())
 
 
 def _check_fixes_letters(phi, alphabet):
@@ -430,27 +445,18 @@ def inverse_structure_endo(pi, x):
     x = as_tensor(x)
     if not x:
         return x
-    alph = alphabet_of(x)
-    _check_fixes_letters(pi, alph)
-    memo = {}
+    _check_fixes_letters(pi, alphabet_of(x))
+    lift = memo_lift(pi)
 
+    @cache
     def mu(w):
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
         n = len(w)
         if n == 0:
             raise InputError("partial map: no value for the unit word")
         if n == 1:
-            val = LinComb.single(w)
-        else:
-            total = LinComb.zero()
-            for k in range(1, n):
-                for blocks in block_decompositions(w, k):
-                    img = concat_expand([pi(b) for b in blocks], alph)
-                    total = total + img.apply(mu)
-            val = -total
-        memo[w] = val
-        return val
+            return LinComb.single(w)
+        # every pattern but the n-letter one, which pi sends back to w
+        shorter = lift(w) - LinComb.single(w)
+        return -shorter.apply(mu)
 
     return cofree_lift(mu, x)

@@ -11,7 +11,6 @@ from gebra.exactlin import InputError, LinComb
 from gebra.words import Alphabet, parse_tensor, parse_word
 from gebra.binfty import (
     BInftyStructure,
-    bracket_eval,
     check_axioms,
     induced_product,
     parse_bracket_file,
@@ -24,22 +23,22 @@ def test_bracket_unit_rules(qs3, alph3):
     one = alph3.empty_word()
     v = parse_word("x1", alph3)
     w = parse_word("x1.x2", alph3)
-    assert bracket_eval(qs3, one, v) == LinComb.single(v)
-    assert bracket_eval(qs3, v, one) == LinComb.single(v)
-    assert bracket_eval(qs3, one, w) == LinComb.zero()
-    assert bracket_eval(qs3, w, one) == LinComb.zero()
-    assert bracket_eval(qs3, one, one) == LinComb.zero()
+    assert qs3.bracket(one, v) == LinComb.single(v)
+    assert qs3.bracket(v, one) == LinComb.single(v)
+    assert qs3.bracket(one, w) == LinComb.zero()
+    assert qs3.bracket(w, one) == LinComb.zero()
+    assert qs3.bracket(one, one) == LinComb.zero()
 
 
 def test_quasi_shuffle_bracket_is_letter_multiplication(qs3, alph3):
     v = parse_word("x1", alph3)
     w = parse_word("x2", alph3)
-    assert bracket_eval(qs3, v, w) == LinComb.single(parse_word("x3", alph3))
+    assert qs3.bracket(v, w) == LinComb.single(parse_word("x3", alph3))
     # saturation at the top letter
     top = parse_word("x3", alph3)
-    assert bracket_eval(qs3, top, top) == LinComb.single(top)
+    assert qs3.bracket(top, top) == LinComb.single(top)
     # longer words bracket to zero
-    assert bracket_eval(qs3, parse_word("x1.x1", alph3), v) == LinComb.zero()
+    assert qs3.bracket(parse_word("x1.x1", alph3), v) == LinComb.zero()
 
 
 def test_shuffle_product_small(sh3, alph3):
@@ -149,7 +148,7 @@ def test_explicit_structure_flalg(flalg):
     ab = flalg.alphabet
     a = parse_word("a", ab)
     assert induced_product(flalg, a, a) == parse_tensor("2*a.a + 2*b", ab)
-    assert bracket_eval(flalg, a, parse_word("b", ab)) == LinComb.zero()
+    assert flalg.bracket(a, parse_word("b", ab)) == LinComb.zero()
 
 
 def test_explicit_bracket_bound_is_enforced():
@@ -159,7 +158,7 @@ def test_explicit_bracket_bound_is_enforced():
     B = BInftyStructure.explicit(ab, table, bound=2)
     long = parse_word("a.a.a", ab)
     with pytest.raises(InputError, match="outside the table bound"):
-        bracket_eval(B, long, a)
+        B.bracket(long, a)
     with pytest.raises(InputError, match="smaller than the stored table"):
         BInftyStructure.explicit(ab, {(a * a, a): LinComb.single(parse_word("b", ab))}, bound=1)
 
@@ -244,7 +243,7 @@ def test_parse_bracket_file_explicit():
     assert B.mode == "explicit"
     assert B.bound == 2
     a = parse_word("a", B.alphabet)
-    assert bracket_eval(B, a, a) == parse_tensor("2*b", B.alphabet)
+    assert B.bracket(a, a) == parse_tensor("2*b", B.alphabet)
 
 
 def test_parse_bracket_file_infers_degree_one_letters():

@@ -206,6 +206,355 @@ def test_desc_output_is_byte_identical(argv, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+RICH_TABLE = """
+mode: explicit
+alphabet: a:1, b:2
+bound: 6
+a , a -> 2*b
+a , b -> 1/2*a + b
+b , a -> 1/2*a + b
+a.a , a -> -1*b
+a , a.a -> -1*b
+a.b , b -> 3*a
+"""
+
+# sha256 of the stdout of each word-side command, pinned from the route that
+# enumerated every block decomposition.  An argument "@qs", "@fl" or "@rich"
+# stands for the path of a file holding QS_TABLE, FLALG_TABLE or RICH_TABLE.
+WORD_GOLDEN = [
+    (('eulerian', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('eulerian', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('eulerian', 'a.b'), "0b264603badb3e45d5f3bb664f4bfd6371386259fa59cec61ed1b06aeccf80c9"),
+    (('eulerian', 'a.b', '--json'), "5b0837ba09fe2f0e278e0be70fe23efe37488bdda0f1370668d60943c634704f"),
+    (('eulerian', 'a.b.c'), "407fd88c06ff32b7309a6937cbffe9d78737fe16422113894481388ff4644646"),
+    (('eulerian', 'a.b.c', '--json'), "d9739cc8eee0669ea1fd695457b68242187840886ece32dbc025553c79cd38aa"),
+    (('eulerian', 'a.b.c.d'), "615f849035d3474e26db6967cf83cc2e0ea075ec59f33d7406cc9ff816c547d6"),
+    (('eulerian', 'a.b.c.d', '--json'), "1666e881a5c4423e7088526462469337a4592b7c93c285726a80d06440aa29da"),
+    (('eulerian', 'a.b.c.d.e'), "c25ac86d7edfb3d02049f635aafac93c7640b8597778d6f81e25cd51675807f2"),
+    (('eulerian', 'a.b.c.d.e', '--json'), "715071f524db4ec3ed4502632f852f400e9023756a19edb9146985258fe81702"),
+    (('eulerian', 'a.b.c.d.e.f'), "7d8f4c0848de55a320f203c64f793f5b6c579e52787f1a2621386d2b4cb3028c"),
+    (('eulerian', 'a.b.c.d.e.f', '--json'), "33990b621cef028d9986f193a18e01269d33baddf7314b612c9482aff8d8ae00"),
+    (('varpi', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('varpi', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('varpi', 'a.b'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'a.b', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'a.b.c'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'a.b.c', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'a.b.c.d'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'a.b.c.d', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'a.b.c.d.e'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'a.b.c.d.e', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'a.b.c.d.e.f'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'a.b.c.d.e.f', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('omega', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('omega', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('omega', 'a.b'), "3028acf5e4c1117ab3d2bfbf5ecffb4d3147c9acb452fb375f27a57acd0bc9b7"),
+    (('omega', 'a.b', '--json'), "33924c247d716184b133a544cd793db9d3c17928f12d6cfed2085b12142694c6"),
+    (('omega', 'a.b.c'), "5509d18a8093bf49f4814cb919b67420450a64de047d36299f597fc6055ff462"),
+    (('omega', 'a.b.c', '--json'), "9c86401016c1cc821202069fa712d874f15f79af936b1e8ee19bef4f271e78af"),
+    (('omega', 'a.b.c.d'), "e92df2c02b3346ce1ecf15be726cb452bcdf752e884b9739cafe331acec13dfa"),
+    (('omega', 'a.b.c.d', '--json'), "3a54030f85368e1af6d9f762c043092c238f6857b87f2071db1d7e3ad48928bc"),
+    (('omega', 'a.b.c.d.e'), "272b3c388e100ef72ef30f9869b7f76419095f8968f738e7502ad913ae1ee5c1"),
+    (('omega', 'a.b.c.d.e', '--json'), "bb411f937aa9a7f158cf6dc3b52afac9d4b9e622ad8b5c4c90470482f9f7284d"),
+    (('omega', 'a.b.c.d.e.f'), "d54044857bb959b599ef6ebc76da3732dda6e146a349857391106162880c7df9"),
+    (('omega', 'a.b.c.d.e.f', '--json'), "472da5563077420d94ba8bb1fded1b427c8857bc9ded3a50c0ad694fbcf54031"),
+    (('omega', '2 + 1/2*a.b + -3*b.a.c'), "05ffdeee2ee6b76132df72910fddb4f79f68e1387ab96b73a9c9fafd83906d82"),
+    (('omega', '2 + 1/2*a.b + -3*b.a.c', '--json'), "468f5fc72527e19d2333cbd964dc513025489053e5e154d415ed911f5da2dbf0"),
+    (('zeta', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('zeta', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('zeta', 'a.b'), "3028acf5e4c1117ab3d2bfbf5ecffb4d3147c9acb452fb375f27a57acd0bc9b7"),
+    (('zeta', 'a.b', '--json'), "33924c247d716184b133a544cd793db9d3c17928f12d6cfed2085b12142694c6"),
+    (('zeta', 'a.b.c'), "5509d18a8093bf49f4814cb919b67420450a64de047d36299f597fc6055ff462"),
+    (('zeta', 'a.b.c', '--json'), "9c86401016c1cc821202069fa712d874f15f79af936b1e8ee19bef4f271e78af"),
+    (('zeta', 'a.b.c.d'), "e92df2c02b3346ce1ecf15be726cb452bcdf752e884b9739cafe331acec13dfa"),
+    (('zeta', 'a.b.c.d', '--json'), "3a54030f85368e1af6d9f762c043092c238f6857b87f2071db1d7e3ad48928bc"),
+    (('zeta', 'a.b.c.d.e'), "272b3c388e100ef72ef30f9869b7f76419095f8968f738e7502ad913ae1ee5c1"),
+    (('zeta', 'a.b.c.d.e', '--json'), "bb411f937aa9a7f158cf6dc3b52afac9d4b9e622ad8b5c4c90470482f9f7284d"),
+    (('zeta', 'a.b.c.d.e.f'), "d54044857bb959b599ef6ebc76da3732dda6e146a349857391106162880c7df9"),
+    (('zeta', 'a.b.c.d.e.f', '--json'), "472da5563077420d94ba8bb1fded1b427c8857bc9ded3a50c0ad694fbcf54031"),
+    (('zeta', '2 + 1/2*a.b + -3*b.a.c'), "05ffdeee2ee6b76132df72910fddb4f79f68e1387ab96b73a9c9fafd83906d82"),
+    (('zeta', '2 + 1/2*a.b + -3*b.a.c', '--json'), "468f5fc72527e19d2333cbd964dc513025489053e5e154d415ed911f5da2dbf0"),
+    (('eulerian', 'b'), "0263829989b6fd954f72baaf2fc64bc2e2f01d692d4de72986ea808f6e99813f"),
+    (('eulerian', 'b', '--json'), "dada0a36fec9034ece5030d7596b7d516e4ebfe0a7fe5c3f74362721b87d91ff"),
+    (('eulerian', 'b.a'), "39f5dcbac586016847aed19685b29140cba09a696ab0e0989d7f3e7b02f70c74"),
+    (('eulerian', 'b.a', '--json'), "b869846b8849f2a93c113ba4eca6ef1487ead9481a160e1f4f8aae68bd5a8f01"),
+    (('eulerian', 'b.a.b'), "401d8cdb18cfa12e5d1ea3a72e00ecc9093f15c95961442ef09397b6fe37b449"),
+    (('eulerian', 'b.a.b', '--json'), "2c76e14a456011aeb3d4c91f7afbecb2eb02bfd807cd7e68b48a80b257e57a6f"),
+    (('eulerian', 'b.a.b.a'), "4e8043f08fa905d22cb71ac34ab05e08ef37217e7119985af0cddce87987ea7a"),
+    (('eulerian', 'b.a.b.a', '--json'), "5b570307058f29d0cab81d6e23c0474ea533e05e4c3213dbffc3c3e7cf704fa0"),
+    (('eulerian', 'b.a.b.a.a'), "b2f96ac2c5ec6ae004a67f0b5239219589f7fee8b50518d807f2f82928e0f7d8"),
+    (('eulerian', 'b.a.b.a.a', '--json'), "4dd6af4158381a2a0e4e77928e72e6c4c3d8dfad8623758cb00a2d5fc09d78aa"),
+    (('eulerian', 'b.a.b.a.a.b'), "4da88b19b32b02879da51e055384859eb272d6ca580c7b85dbe79684f6ad21a2"),
+    (('eulerian', 'b.a.b.a.a.b', '--json'), "17fe053de26504b6769671062a4ce23b6285e51778492ff0b02a6319ba5dd1b2"),
+    (('varpi', 'b'), "0263829989b6fd954f72baaf2fc64bc2e2f01d692d4de72986ea808f6e99813f"),
+    (('varpi', 'b', '--json'), "dada0a36fec9034ece5030d7596b7d516e4ebfe0a7fe5c3f74362721b87d91ff"),
+    (('varpi', 'b.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'b.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'b.a.b'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'b.a.b', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'b.a.b.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'b.a.b.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'b.a.b.a.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'b.a.b.a.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', 'b.a.b.a.a.b'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', 'b.a.b.a.a.b', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('omega', 'b'), "0263829989b6fd954f72baaf2fc64bc2e2f01d692d4de72986ea808f6e99813f"),
+    (('omega', 'b', '--json'), "dada0a36fec9034ece5030d7596b7d516e4ebfe0a7fe5c3f74362721b87d91ff"),
+    (('omega', 'b.a'), "94b21754fc3b9ea924b735eb24a47b2dd24612f859b02aaa81b5d6aec29f2669"),
+    (('omega', 'b.a', '--json'), "c6b7372ae0f83c8696cebdb4fccc397e73caf12772043cc3f0df50e432817754"),
+    (('omega', 'b.a.b'), "49b0d7a199254798c2842f5294a287bf64226c4a5de9ccc8aac4ebc56dd0abcf"),
+    (('omega', 'b.a.b', '--json'), "2683b7bf0135499b2ca73e97168e81d8364b35fd6ffb37105dfa202289d851e7"),
+    (('omega', 'b.a.b.a'), "f8ff914a7322c60b7eeac94d8548851b29e15c38c45eac71b4f8962dca9e5326"),
+    (('omega', 'b.a.b.a', '--json'), "d13843688815e2e6e2095030b77908ea0cb719cc9fa4d949b102d4521d6f556c"),
+    (('omega', 'b.a.b.a.a'), "832aaf0d39444c32bb210077f9596a9a8b50ed5845bbaa77ff8f92945c617368"),
+    (('omega', 'b.a.b.a.a', '--json'), "78543ddcb88d0c439846cfbc307af422605a05fc2a453537eb9b5b1ec872d366"),
+    (('omega', 'b.a.b.a.a.b'), "fcd5d5e050447c297609af740aeb261c6c543629352f794bad02dd6959189c04"),
+    (('omega', 'b.a.b.a.a.b', '--json'), "17aa2807e817c6328615b76b7bcfc7334c0404d379ed5d7b95026987811c974b"),
+    (('omega', 'a + -1*a.b + 2/3*b.a.a'), "9f463f956a4f659b24b99326f38a5c977f4dd8556690da4def56d394ce5bc684"),
+    (('omega', 'a + -1*a.b + 2/3*b.a.a', '--json'), "590eb360550a7c5a6bef8cc5c909b14b14b2b019825d8eba72fce928b14b53e2"),
+    (('zeta', 'b'), "0263829989b6fd954f72baaf2fc64bc2e2f01d692d4de72986ea808f6e99813f"),
+    (('zeta', 'b', '--json'), "dada0a36fec9034ece5030d7596b7d516e4ebfe0a7fe5c3f74362721b87d91ff"),
+    (('zeta', 'b.a'), "94b21754fc3b9ea924b735eb24a47b2dd24612f859b02aaa81b5d6aec29f2669"),
+    (('zeta', 'b.a', '--json'), "c6b7372ae0f83c8696cebdb4fccc397e73caf12772043cc3f0df50e432817754"),
+    (('zeta', 'b.a.b'), "49b0d7a199254798c2842f5294a287bf64226c4a5de9ccc8aac4ebc56dd0abcf"),
+    (('zeta', 'b.a.b', '--json'), "2683b7bf0135499b2ca73e97168e81d8364b35fd6ffb37105dfa202289d851e7"),
+    (('zeta', 'b.a.b.a'), "f8ff914a7322c60b7eeac94d8548851b29e15c38c45eac71b4f8962dca9e5326"),
+    (('zeta', 'b.a.b.a', '--json'), "d13843688815e2e6e2095030b77908ea0cb719cc9fa4d949b102d4521d6f556c"),
+    (('zeta', 'b.a.b.a.a'), "832aaf0d39444c32bb210077f9596a9a8b50ed5845bbaa77ff8f92945c617368"),
+    (('zeta', 'b.a.b.a.a', '--json'), "78543ddcb88d0c439846cfbc307af422605a05fc2a453537eb9b5b1ec872d366"),
+    (('zeta', 'b.a.b.a.a.b'), "fcd5d5e050447c297609af740aeb261c6c543629352f794bad02dd6959189c04"),
+    (('zeta', 'b.a.b.a.a.b', '--json'), "17aa2807e817c6328615b76b7bcfc7334c0404d379ed5d7b95026987811c974b"),
+    (('zeta', 'a + -1*a.b + 2/3*b.a.a'), "9f463f956a4f659b24b99326f38a5c977f4dd8556690da4def56d394ce5bc684"),
+    (('zeta', 'a + -1*a.b + 2/3*b.a.a', '--json'), "590eb360550a7c5a6bef8cc5c909b14b14b2b019825d8eba72fce928b14b53e2"),
+    (('eulerian', '--table', '@qs', 'x1'), "50313adddde6034b1eb0bffe6bba93a5ef922b5f013efbd95781f7fcc58db3f7"),
+    (('eulerian', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
+    (('eulerian', '--table', '@qs', 'x1.x2'), "2658dd97300342e177149cd28097a7a87d23b6b8639ce6626d47c1eda7867d47"),
+    (('eulerian', '--table', '@qs', 'x1.x2', '--json'), "265a45bc53342b351b615a21033e50a0560cec2982ab11e7d1e29e6159e4e4ab"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1'), "2a32c80c05fc66a2327d1b28d582271973253262245e3172842a21da2d8df2a8"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1', '--json'), "1828796131c116fca7edae345b631997e675f87542b5e93d7cdf461128b930c9"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3'), "a1e0b2b1702ab0c2bfae997cd2101a7621b20e7d17acaa264a4d93534f9ffe61"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3', '--json'), "169c6525f45f124e09738d0d5d56a2a411b3399d629170d355147be60e690041"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3.x1'), "6ce7dfe0539115920a518525585aeff2ec2a545b0ce0b4706b085c93d880a381"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3.x1', '--json'), "025d23185c9af22f9ce2bf8f3993ba49419e3ec08cab81caf700697417334b93"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3.x1.x1'), "f7a33997ab7540cd46cced9e3ac4ca722fef3d2a954897777cbae2408bf73552"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "950892e50cd3c2c5bedc648d535ab1988122fcd368cbf2b09457bfd30cff3297"),
+    (('varpi', '--table', '@qs', 'x1'), "50313adddde6034b1eb0bffe6bba93a5ef922b5f013efbd95781f7fcc58db3f7"),
+    (('varpi', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
+    (('varpi', '--table', '@qs', 'x1.x2'), "280f537d8840a30ec7f71a12c402f4856fb23959d75276803cc9d632509a7f43"),
+    (('varpi', '--table', '@qs', 'x1.x2', '--json'), "cbc7ec564ad18d853a2aac65f7e0033e8de523fdcb923823be4806eaf7c318bc"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1'), "0a7d1734f2bdea6f50ae94689653057e22deabbac462033beae1d1f073b7e3a7"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1', '--json'), "e0ca33127bf88e20fbd3484180e61d5d9f68391e09375ce81f799bbe376f4628"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3'), "b1dd67eaf5448ec7bafd046ec9c923c6561d517623c0ce8e7bcafa914a7e5901"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3', '--json'), "ab4e7231367b0a1cdca644893b14db05f3cd707cb33e526c70ef397fd98b190d"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3.x1'), "3821608f34cc1d0e6eee4e62d7b47a40eb3f7e83f897cc2ed34af3bcb4aeb57d"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3.x1', '--json'), "ad269ecd548554765661bf3fbdda2b1e741bcd38f0fe1b1b9a70411ccea4bb36"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3.x1.x1'), "0d3be420ab9639ef477097e69fe3f6ac807fe21c3afd82a0119111b973336bab"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "240f42938895a04531fc989a9e36eff93c14ee678d7bbb8ba3c32478f60da77e"),
+    (('omega', '--table', '@qs', 'x1'), "50313adddde6034b1eb0bffe6bba93a5ef922b5f013efbd95781f7fcc58db3f7"),
+    (('omega', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
+    (('omega', '--table', '@qs', 'x1.x2'), "d43adf8d1b1acd5875633a393b08fb2c419540c67c385971b266646153947c52"),
+    (('omega', '--table', '@qs', 'x1.x2', '--json'), "409f56845e1163cb02b7582532e8f76889cc39d00f5948a373671f3809a0bc59"),
+    (('omega', '--table', '@qs', 'x1.x2.x1'), "17e8c772baef0637c2b9050332284812d7ee0af8126b80f795f5d75d9932de7e"),
+    (('omega', '--table', '@qs', 'x1.x2.x1', '--json'), "72395203222ca1e682d95f1883f96f58523d1117f8996e89cdb7ed8da4d365e4"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3'), "7a4dc5cb02ea9b07d646298b45dc83046001990386a48e4a8a0cdfa94441fefa"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3', '--json'), "7f694de4ebe83e2da7c401f12aa5b2d7afe534edfc5e4500eda48a95c129992f"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3.x1'), "291ee00380872d929a5ffa60a23db1980f0248a7fc6b18bb0119562621af74ab"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3.x1', '--json'), "04a59360e867690a40260cb71a3abe7dba22b8190f18947934bdc73bd55c198e"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3.x1.x1'), "492b6adda042e43347d60f5a00b17115359211b19c316c9eabcd498c82c1e402"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "732a4415688f413f46853eb9bf7de2f5cc5530b7b54f51e650b1f3447de7c924"),
+    (('omega', '--table', '@qs', '2 + 1/2*x1.x2 + -3*x2.x1.x1'), "87078d003772cafd199c05f59b2233768768e3c817780acaccc83a90d665086e"),
+    (('omega', '--table', '@qs', '2 + 1/2*x1.x2 + -3*x2.x1.x1', '--json'), "20555869973d9ee925b82a40834bfdc19c42b2c9fa57e33cc3f5eea703d243f0"),
+    (('zeta', '--table', '@qs', 'x1'), "50313adddde6034b1eb0bffe6bba93a5ef922b5f013efbd95781f7fcc58db3f7"),
+    (('zeta', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
+    (('zeta', '--table', '@qs', 'x1.x2'), "08c16d67b326ed84ee276a7869562bf5599201339908e1522ed537c0c8d48c33"),
+    (('zeta', '--table', '@qs', 'x1.x2', '--json'), "20351078c14d621b79194b2fdaf4fb7a9d42ed4217e81d5e8686e99a8b92ab9b"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1'), "ae6d10c6c3c10663641e3d79eb1f3b9e387f2fcaad26b025a67ccd9b322653e6"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1', '--json'), "06a1a445debb42ea7ec3821df6fef640864cef7ac1e757a4e8362d8ea98d6fe7"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3'), "095aece16b59ff1e0a98f9211a534ec241e58b66a5566e30f470c914d334946d"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3', '--json'), "ab5c66a87d5230989c6359b2b66920bcc23bfa8def26dcce4049434d29849164"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3.x1'), "31ba62c3571beb09d8ed3056100cd879985ffc7217953bb791565eb59a9601e0"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3.x1', '--json'), "d19c6531d8787a8dbdbc1b6e9bea69427a389bdf0c46173e87e22cfb00a2476b"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3.x1.x1'), "c0bc05505b1312dab313ad7fa4c489ce5070d897d5607c2f7e529f4033416075"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "8c66560382649d8f151de0caaf4e1b41e0a2d81d73c524e8b5f4d225b0c8acf3"),
+    (('zeta', '--table', '@qs', '2 + 1/2*x1.x2 + -3*x2.x1.x1'), "5e4ab76231e831ec796abd771d2121dfeeea2b590197d0e54dc63e7e4494333f"),
+    (('zeta', '--table', '@qs', '2 + 1/2*x1.x2 + -3*x2.x1.x1', '--json'), "a7c1c54af7134ff080f353e2ef1d1657ad024e35cae692600dd6bd42eb97535c"),
+    (('eulerian', '--table', '@fl', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('eulerian', '--table', '@fl', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('eulerian', '--table', '@fl', 'a.a'), "f4d9d826626d993c8427de9607157405c8ebab85a3ca846e4e3a6bb0324dc180"),
+    (('eulerian', '--table', '@fl', 'a.a', '--json'), "e6420465149916218b8d37c64e98b8e35c63203275f82b830d1c9f9f8d5ed2a0"),
+    (('eulerian', '--table', '@fl', 'a.a.b'), "aac7cabb1b9c3334179167f7597e157169f5466503cf754fcbb79fc28aa58306"),
+    (('eulerian', '--table', '@fl', 'a.a.b', '--json'), "61e78594ae6d05decaf9fd37d3fd0e93705faadbdefebdd410acf4d305281149"),
+    (('eulerian', '--table', '@fl', 'a.a.b.a'), "a362523c04e066d4d05cb9acedeb4ea5c3d24ddc98b8ce612a8c0160640f0a73"),
+    (('eulerian', '--table', '@fl', 'a.a.b.a', '--json'), "8842749c08a45816e26b7de6d4dd697ea71c127b7f0e7e7806cdf2c157d629f4"),
+    (('eulerian', '--table', '@fl', 'a.a.b.a.a'), "55e49f3b3a97e3d3ac0f1877bbb7842d1197789b36ed4af9f665d6805b3240f0"),
+    (('eulerian', '--table', '@fl', 'a.a.b.a.a', '--json'), "aed9e4e66f8c21c9baa67ae623c9e443d4dd0c463ceeb6b9e1736a7dc16839ba"),
+    (('eulerian', '--table', '@fl', 'a.a.b.a.a.a'), "f9f710e759fcae8811eee14c7ad0c15d91459392cd94b3a491eacc3c951c4aa1"),
+    (('eulerian', '--table', '@fl', 'a.a.b.a.a.a', '--json'), "d013c127d316aefb21511e4f8926ecfea1200a13dd393978bbfef823ce2e119b"),
+    (('varpi', '--table', '@fl', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('varpi', '--table', '@fl', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('varpi', '--table', '@fl', 'a.a'), "f4d9d826626d993c8427de9607157405c8ebab85a3ca846e4e3a6bb0324dc180"),
+    (('varpi', '--table', '@fl', 'a.a', '--json'), "e6420465149916218b8d37c64e98b8e35c63203275f82b830d1c9f9f8d5ed2a0"),
+    (('varpi', '--table', '@fl', 'a.a.b'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', '--table', '@fl', 'a.a.b', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', '--table', '@fl', 'a.a.b.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', '--table', '@fl', 'a.a.b.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', '--table', '@fl', 'a.a.b.a.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', '--table', '@fl', 'a.a.b.a.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', '--table', '@fl', 'a.a.b.a.a.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', '--table', '@fl', 'a.a.b.a.a.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('omega', '--table', '@fl', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('omega', '--table', '@fl', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('omega', '--table', '@fl', 'a.a'), "bb8522ffb2639f36d9f0f08c852258d6ceb193d0db76b1394a374ef1de8700d3"),
+    (('omega', '--table', '@fl', 'a.a', '--json'), "a6a92a45dffb97d3fc19c88418e263108d23b1f1708c8095ac0005f94803008e"),
+    (('omega', '--table', '@fl', 'a.a.b'), "09d84da8a03eeac073d56b681a9f31f3d0c1820e6100fdb2fee284d0e6e3a0b4"),
+    (('omega', '--table', '@fl', 'a.a.b', '--json'), "0626675802e8171d0ace098ec053baa84e3db12bc5a162c9becd93216c20d2bb"),
+    (('omega', '--table', '@fl', 'a.a.b.a'), "bdc9efad1ea37b05942bd8b6dc810f2c6630964f1a63040dad316afa5b7ed4a0"),
+    (('omega', '--table', '@fl', 'a.a.b.a', '--json'), "981996a9e3bdc75e23ca5938c52e966c48a561c7ef552e5d2a61ba6bcb88426a"),
+    (('omega', '--table', '@fl', 'a.a.b.a.a'), "8afc76419c97e38353987d68cea0f2c4831e61276791009d54e80e6d31ff33d7"),
+    (('omega', '--table', '@fl', 'a.a.b.a.a', '--json'), "7ca248772b83855357ff1c85aedcaf8cd5422ffc414c365fdb4716dec44d230c"),
+    (('omega', '--table', '@fl', 'a.a.b.a.a.a'), "7279fc7b09bc21d00fb450fca021765bfe962a9bb7cc61ce26522bbd994bc274"),
+    (('omega', '--table', '@fl', 'a.a.b.a.a.a', '--json'), "354a1c452d6d71c5649c28af3250b6fa0f6e37285144f314d855c5e06dd59534"),
+    (('omega', '--table', '@fl', '2 + 1/2*a.a + -3*b.a.a'), "840a8d3a8f415281109b108dd9165015f993ae139415a0bdc7c87f4cca89b870"),
+    (('omega', '--table', '@fl', '2 + 1/2*a.a + -3*b.a.a', '--json'), "585f24b6c70ca56aea9927c314e8210fd019b97ed62d5063bd3c4f47c0c2d491"),
+    (('zeta', '--table', '@fl', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('zeta', '--table', '@fl', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('zeta', '--table', '@fl', 'a.a'), "a8f679af253c00d6cc564ef3f439772a54ed064ecf531b79008dd422dbbe402c"),
+    (('zeta', '--table', '@fl', 'a.a', '--json'), "9f19ebc98e3af1c5fc9cc3068bf1a97db68d765ba121b28b3a722c784cffe04f"),
+    (('zeta', '--table', '@fl', 'a.a.b'), "b87658e62a7b77c68f209bdcdfe60245964adaac0692ce71dff36c6c9e8c2f2e"),
+    (('zeta', '--table', '@fl', 'a.a.b', '--json'), "358cb4725ebf9ca911cb9d178a7911095329aea97e86287cef81480cbdc842bb"),
+    (('zeta', '--table', '@fl', 'a.a.b.a'), "8551dbce75f8c1b1a0456569380d14ed4154521f5e2a43937c7055e4bf52405c"),
+    (('zeta', '--table', '@fl', 'a.a.b.a', '--json'), "cd0b46a25328138b56e5504094933f37213feb0440ee985cd96489fde71267eb"),
+    (('zeta', '--table', '@fl', 'a.a.b.a.a'), "0795f7b6ea5726b4f997b1d39c6bae1a0f58f81a6d7d7ce945b5db3f983c3d22"),
+    (('zeta', '--table', '@fl', 'a.a.b.a.a', '--json'), "715a2b9b8a7b21533ddf569688a3d789bfe80d3533a4df0d299aa5559d563faa"),
+    (('zeta', '--table', '@fl', 'a.a.b.a.a.a'), "b7e7436a98feb6cb0a2a7c74729c6acb9fb74af7de0277675da40cc6b0ee4f17"),
+    (('zeta', '--table', '@fl', 'a.a.b.a.a.a', '--json'), "ccff723bd09f68d6ca99646fc891adbba989a753a6bbf4c8504e8f802e31136d"),
+    (('zeta', '--table', '@fl', '2 + 1/2*a.a + -3*b.a.a'), "97e1228c799c6c1af699c62b9a02b14eb72e13395dd0ea7b666449e4407d29da"),
+    (('zeta', '--table', '@fl', '2 + 1/2*a.a + -3*b.a.a', '--json'), "bfa061d2889bb3aea8209550518ed8988e878c509dce5069217bf05a9bead1c9"),
+    (('eulerian', '--table', '@rich', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('eulerian', '--table', '@rich', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('eulerian', '--table', '@rich', 'a.b'), "18655c24630ba10c2a8de5247ba116e9f87490325ac58c897b3f888f68d8d7d3"),
+    (('eulerian', '--table', '@rich', 'a.b', '--json'), "48e3e7df8d07fb6808a27adf79bd984ddc0a3e946c1fb5efa9ac87b5bb5075fc"),
+    (('eulerian', '--table', '@rich', 'a.b.a'), "ba0cb440b1beb17bc68d2142d1358ed89ea8a5af4439a0df91955ae4ee537ec7"),
+    (('eulerian', '--table', '@rich', 'a.b.a', '--json'), "f4ae896261af820989288249e5799fc287da5378f94ca61bd4e92a8eb7cf76c3"),
+    (('eulerian', '--table', '@rich', 'a.b.a.a'), "a159c7dfc8f389ab1325170ad98bbed6627b9b497f6f49335c2b5d96ef55ed85"),
+    (('eulerian', '--table', '@rich', 'a.b.a.a', '--json'), "2f7aabfd44400efc9c504e853e153ab35054a11231e2339e04444ea5193ac7c6"),
+    (('eulerian', '--table', '@rich', 'a.b.a.a.b'), "6d633dc1357576bbbe363bbe0e4c9594e9b8e8a1b893419d734adab70b705969"),
+    (('eulerian', '--table', '@rich', 'a.b.a.a.b', '--json'), "9bab89f6423e0068b09b2411c5d1399e4c0da2f6a0cc0dc486412ee2987f1634"),
+    (('eulerian', '--table', '@rich', 'a.b.a.a.b.a'), "3b0baf57c6d662f199c333d951edec57bf6d0655a3919357815448f8158d52cc"),
+    (('eulerian', '--table', '@rich', 'a.b.a.a.b.a', '--json'), "44aef9af502f341aff19014bc88cac8b528da2a54dc9981a4504a294c33fbde9"),
+    (('varpi', '--table', '@rich', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('varpi', '--table', '@rich', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('varpi', '--table', '@rich', 'a.b'), "ef8b0c5e54e4b417aa38e8d266e85019c16f4cc81c1914a305f90485dab726d4"),
+    (('varpi', '--table', '@rich', 'a.b', '--json'), "5f13bf6b38f21863f2bc509c73976bfe1af8fcc73553aca6814cd9380823986c"),
+    (('varpi', '--table', '@rich', 'a.b.a'), "6242ecb6b0dd70246b2c720430682a9ec63e8cce658ea5b8b66c498e2c1b492d"),
+    (('varpi', '--table', '@rich', 'a.b.a', '--json'), "73021de778e303894a049ec41be07ca903e78a7cfc520e99bc10f84ce164e4d3"),
+    (('varpi', '--table', '@rich', 'a.b.a.a'), "32f898d1798f7999ec915cabf58653c9ee4aabe2b2fd2a185e8fe464d1733abc"),
+    (('varpi', '--table', '@rich', 'a.b.a.a', '--json'), "7817e4e9320a0f8a82d4c7cc3a8c624ab0dea090dbbaaaa0f4b5d84a925ea833"),
+    (('varpi', '--table', '@rich', 'a.b.a.a.b'), "a7c951edacd41ee43f40bd93625cd80cec693976926afc9465ac565f16842673"),
+    (('varpi', '--table', '@rich', 'a.b.a.a.b', '--json'), "e9ddf8a60a50b77d68e350d5650ad99fd83f6b3f41b8fd02bc0ab3f0b36996d8"),
+    (('varpi', '--table', '@rich', 'a.b.a.a.b.a'), "d55357e5e9d7fd2e209ef08d7a4938f318ed8bed1ac0429f58c53fef209d1704"),
+    (('varpi', '--table', '@rich', 'a.b.a.a.b.a', '--json'), "809fb7ec39c4c5773b28c37b92043c34e972588736e364cba890f02f5d6e10c2"),
+    (('omega', '--table', '@rich', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('omega', '--table', '@rich', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('omega', '--table', '@rich', 'a.b'), "7de79c84d3fde94e2dbc4ad2459e5b90c7c6d03d7a6183db65775cc9eaa08843"),
+    (('omega', '--table', '@rich', 'a.b', '--json'), "21e7bab7f96f3073c7fd37574a8b162c91feb12dcc2cb5285e859a35b1484fd7"),
+    (('omega', '--table', '@rich', 'a.b.a'), "bd2af46b9624517d94646abe9fb951b2b202b523c46010344f31767548b18cf5"),
+    (('omega', '--table', '@rich', 'a.b.a', '--json'), "2133a6701381c61443a3916a30fa3eaa0dba3ea8e687c3d8d2dd31163ea248f1"),
+    (('omega', '--table', '@rich', 'a.b.a.a'), "be9f6c9b2176f02818c6c410291dce958d8ab9c207403530d288b7b059459f90"),
+    (('omega', '--table', '@rich', 'a.b.a.a', '--json'), "c47537ad194235bb3e4846539adb099f442ef0ff85eccb18f6a137230ef92395"),
+    (('omega', '--table', '@rich', 'a.b.a.a.b'), "23cc2f57206c383056a03b74cdb3306bffe8f3261aaf5b6a9aaf3438bdac641f"),
+    (('omega', '--table', '@rich', 'a.b.a.a.b', '--json'), "8daa335107c042e03a59479234c54b9c5b116d39497dac5e651899ccb9565b94"),
+    (('omega', '--table', '@rich', 'a.b.a.a.b.a'), "18836ad05880a577612ac71975add15db0a38b081f4c6455e01d5fe2dba917ca"),
+    (('omega', '--table', '@rich', 'a.b.a.a.b.a', '--json'), "27e34266773474575cbc470b7d3411927e14fd0d19f1d7483f89801744c720df"),
+    (('omega', '--table', '@rich', '2 + 1/2*a.a + -3*b.a.a'), "c2eb111745136832a151568cb9e72a91c3a3970c6136516aef2d2290556b929a"),
+    (('omega', '--table', '@rich', '2 + 1/2*a.a + -3*b.a.a', '--json'), "80693eb48a6f6ff5094ffaa53ff4a8d5e4e047c21a7e9f52a816d1bd52618bdc"),
+    (('zeta', '--table', '@rich', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    (('zeta', '--table', '@rich', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
+    (('zeta', '--table', '@rich', 'a.b'), "1ce99f6abed5edca8734b606a485e4315ba7f1b599a3f4d3661e38b8f883aa93"),
+    (('zeta', '--table', '@rich', 'a.b', '--json'), "8a98c59e989393bd17f7559d79f074df97a85c947b3b509105bc8ebc8522caf9"),
+    (('zeta', '--table', '@rich', 'a.b.a'), "df1db2bd814ef5eacc4da0ee5d8befffb7b68d7dfe845b10757ef007c29ab319"),
+    (('zeta', '--table', '@rich', 'a.b.a', '--json'), "209142504d542e6d6267fa0457d8dc9ca96bd6ff40be322bb295c383b1865466"),
+    (('zeta', '--table', '@rich', 'a.b.a.a'), "6852c804af70db2d0aa7ba309fc43a49b42203583a3a81ae94d3beb60c56da61"),
+    (('zeta', '--table', '@rich', 'a.b.a.a', '--json'), "f5d69312beb05f631dd232427360fb7a95175f1fb36b44911b8dc9a16c02f611"),
+    (('zeta', '--table', '@rich', 'a.b.a.a.b'), "da8068c448a73fc31e83ed4e1eab4a7ef1c5acd62abbc99d9137699e80c58201"),
+    (('zeta', '--table', '@rich', 'a.b.a.a.b', '--json'), "0715fef583c09e3fef10aac9403976bb363a65636f87cde89912bcdc8421925f"),
+    (('zeta', '--table', '@rich', 'a.b.a.a.b.a'), "8c91b3bd891841cfec5511aa14bc8d8c9c5724dc31962995aa180ebba2043e69"),
+    (('zeta', '--table', '@rich', 'a.b.a.a.b.a', '--json'), "ec5305d2178a408dbda1db18dfe3176879aa80d5d7893009434dcddd83c47b1c"),
+    (('zeta', '--table', '@rich', '2 + 1/2*a.a + -3*b.a.a'), "e87028db5793a63a755ba79688e090fc6a686b51aa019fde4c90c859ade4134d"),
+    (('zeta', '--table', '@rich', '2 + 1/2*a.a + -3*b.a.a', '--json'), "cc5ce6369047561ef6915ef60c552d3966517b619c0e6002a3b22ead92d46ad1"),
+    (('binf', 'prod', 'a.b.c', 'c.a'), "6e4293e31db99d1283749aef9805d5688103e14ce5d92d906ef33e13a7029754"),
+    (('binf', 'prod', 'a.b.c', 'c.a', '--json'), "777098a869711f977539aaa365116f5bb5daecabb16160a48de9460896cccce6"),
+    (('binf', 'prod', '--table', '@qs', 'x1.x2.x1', 'x3.x1'), "660ad3be359e1aaf3ffaaf0077d9db1a02f1c6265773b12d83a76c8868f6a286"),
+    (('binf', 'prod', '--table', '@qs', 'x1.x2.x1', 'x3.x1', '--json'), "fbc433be7c4f21759b3839c403f49d62f77e1863676bf26b5b6623ef1335c2ec"),
+    (('binf', 'prod', '--table', '@fl', 'a.a.b', 'a.a'), "03da4914f0f02809ebcf040c16290ddeb736945721ebfc1e311945c67963fa06"),
+    (('binf', 'prod', '--table', '@fl', 'a.a.b', 'a.a', '--json'), "201c9da4ff6a2a4adeee35e2d6a9c0ab09f9801a52942b21c351967cc8d4b586"),
+    (('binf', 'prod', '--table', '@rich', 'a.b.a', 'a.a.b'), "2891d97b17adf63e5f17297f2e8ac94788574bc82231efc0c2931cee23470458"),
+    (('binf', 'prod', '--table', '@rich', 'a.b.a', 'a.a.b', '--json'), "726bda1caf3f7d6972affc08281ba46a292c1597458e92eb2da426e991c7a0c9"),
+    (('shuffle', 'a.b.a', 'b.c'), "7af4564e4e1d039afd2ca00fd710b7afcdfc853bb484073892bc207f28df579f"),
+    (('shuffle', '--alphabet', 'c,b,a', 'a.b.a', 'b.c'), "e9c9842465e059f502297d103cb4493d4d9d83b3697cda8376c9ee1f67d5db8f"),
+    (('qshuffle', '--table', '@qs', 'x1.x2.x1', 'x2.x3'), "0a78ef5ae96fef8bd38d21d31e91145500ca013529dcb5d8259bbe121085ff11"),
+    (('hoffman', 'log', '--table', '@qs', 'x1'), "50313adddde6034b1eb0bffe6bba93a5ef922b5f013efbd95781f7fcc58db3f7"),
+    (('hoffman', 'log', '--table', '@qs', 'x1.x2.x1'), "0a7d1734f2bdea6f50ae94689653057e22deabbac462033beae1d1f073b7e3a7"),
+    (('hoffman', 'log', '--table', '@qs', 'x1.x2.x1.x3.x1.x1'), "0d3be420ab9639ef477097e69fe3f6ac807fe21c3afd82a0119111b973336bab"),
+    (('hoffman', 'exp', '--table', '@qs', 'x1'), "50313adddde6034b1eb0bffe6bba93a5ef922b5f013efbd95781f7fcc58db3f7"),
+    (('hoffman', 'exp', '--table', '@qs', 'x1.x2.x1'), "956841a2027a268829c92a5513b17119de80be7f433ba6a5d8591b990e6da50d"),
+    (('hoffman', 'exp', '--table', '@qs', 'x1.x2.x1.x3.x1.x1'), "dace921e1be8592267785b522f8b5a00adef463c0ba1913f60fb6d055a9c78c1"),
+    (('shuffle', 'a.b.a', 'b.c', '--json'), "f3b8ceb559bf642e896f54b7606c16bb583e396a28414f51be571c61f96c2ff8"),
+    (('shuffle', '--alphabet', 'c,b,a', 'a.b.a', 'b.c', '--json'), "3fa69b20a30b1147f7f7dbdd16495f591be66bcec7794450d247a23017a8e7f4"),
+    (('qshuffle', '--table', '@qs', 'x1.x2.x1', 'x2.x3', '--json'), "b02e591c5747bde46bdefedb411b1fbaf03093bb5c7accdd8e7a1bebf18e082f"),
+    (('hoffman', 'log', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
+    (('hoffman', 'log', '--table', '@qs', 'x1.x2.x1', '--json'), "e0ca33127bf88e20fbd3484180e61d5d9f68391e09375ce81f799bbe376f4628"),
+    (('hoffman', 'log', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "240f42938895a04531fc989a9e36eff93c14ee678d7bbb8ba3c32478f60da77e"),
+    (('hoffman', 'exp', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
+    (('hoffman', 'exp', '--table', '@qs', 'x1.x2.x1', '--json'), "be21c8ddfeaccb75ef4d197ebab39dc44d45cfe33109d09aa9f9fe97c8f8cc36"),
+    (('hoffman', 'exp', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "a82ea7a6df0b013be31f6b1fd11acd8808569bac98ace58ab1353c6ca52196fb"),
+]
+
+
+@pytest.fixture(scope="module")
+def table_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tables")
+    paths = {}
+    for name, text in (("qs", QS_TABLE), ("fl", FLALG_TABLE), ("rich", RICH_TABLE)):
+        path = root / f"{name}.tbl"
+        path.write_text(text)
+        paths["@" + name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv,digest", WORD_GOLDEN, ids=[" ".join(a) for a, _ in WORD_GOLDEN])
+def test_word_side_output_is_byte_identical(argv, digest, table_paths, capsys):
+    from gebra.cli import main
+
+    assert main([table_paths.get(a, a) for a in argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The same pins for inputs that took 13-16 s each on the enumerating route;
+# the wall-clock budgets include process start.
+SLOW_WORD_GOLDEN = [
+    ("eulerian a.b.c.d.e.f.g", "c89e5ee0db0de75ceea48b40d4d1dffd083113444d68da2b77967e46dc6cdc7c", 2.0),
+    ("eulerian a.b.c.d.e.f.g --json", "c1350041e16e24a80dfd8585473d64d85f747576efa6630f02ef06ceef510a57", 2.0),
+    ("omega a.b.c.d.e.f.g.h", "c4c62d90dd7004406a5ffa98ae4555cecf8ab27aedeaabbb7ba6744f31ddbf56", 1.0),
+    ("omega a.b.c.d.e.f.g.h --json", "a1fc1517dbef7f9dc2b4fda57c3163a0e9f8df8137eae8a950dced2f6a4756ab", 1.0),
+    ("zeta a.b.c.d.e.f.g.h", "c4c62d90dd7004406a5ffa98ae4555cecf8ab27aedeaabbb7ba6744f31ddbf56", 1.0),
+    ("zeta a.b.c.d.e.f.g.h --json", "a1fc1517dbef7f9dc2b4fda57c3163a0e9f8df8137eae8a950dced2f6a4756ab", 1.0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,budget", SLOW_WORD_GOLDEN, ids=[a for a, _, _ in SLOW_WORD_GOLDEN])
+def test_long_word_output_is_byte_identical_within_budget(argv, digest, budget):
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "gebra", *argv.split()], capture_output=True)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert elapsed < budget
+
+
 def test_topo_outputs():
     assert run_ok("topo", "ladder", "3") == "3; 2<1, 3<1, 3<2 (l3)\n"
     assert run_ok("topo", "corolla", "4") == "4; 4<1, 4<2, 4<3 (c4)\n"
@@ -230,6 +579,58 @@ def test_size_bound_exit_code():
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+
+
+def _timed_run(*argv):
+    t0 = time.monotonic()
+    code, out, err = run(*argv)
+    return code, out, err, time.monotonic() - t0
+
+
+@pytest.mark.parametrize("argv", [
+    ("eulerian", "a.b.c.d.e.f.g.h.i"),
+    ("varpi", "a.b.c.d.e.f.g.h.i"),
+    ("omega", "a.b.c.d.e.f.g.h.i"),
+    ("zeta", "a + a.b.c.d.e.f.g.h.i"),
+    ("binf", "prod", "a.b.c.d.e", "a.b.c.d"),
+    ("eulerian", "--table", "@fl", "a.a.a.a.a.a.a.a.a"),
+], ids=" ".join)
+def test_word_past_the_bound_exits_3_within_1s(argv, table_paths):
+    code, out, err, elapsed = _timed_run(*[table_paths.get(a, a) for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: size bound")
+    assert elapsed < 1.0
+
+
+def test_worst_word_at_the_bound_finishes_within_10s(table_paths):
+    # eight distinct letters in shuffle mode: every one of the 8! orderings
+    # carries a coefficient (2.5-2.8 s on a 2-vCPU VM, process start included)
+    code, out, err, elapsed = _timed_run("eulerian", "a.b.c.d.e.f.g.h")
+    assert code == 0, err
+    assert out.count(" + ") + 1 == 40320
+    assert elapsed < 10.0
+    for argv in (("binf", "prod", "--table", "@qs", "x1.x2.x3.x1", "x2.x3.x1.x2"),
+                 ("eulerian", "--table", "@qs", "x1.x2.x3.x1.x2.x3.x1.x2"),
+                 ("omega", "--table", "@qs", "x1.x2.x3.x1.x2.x3.x1.x2"),
+                 ("zeta", "--table", "@qs", "x1.x2.x3.x1.x2.x3.x1.x2")):
+        code, out, err, elapsed = _timed_run(*[table_paths.get(a, a) for a in argv])
+        assert code == 0, err
+        assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("topo", "lambda", "1000000"),
+    ("topo", "delta2", "1000000; 1<2"),
+    ("topo", "ladder", "1000000"),
+    ("topo", "corolla", "1000000"),
+], ids=" ".join)
+def test_huge_topology_exits_3_within_1s(argv):
+    code, out, err, elapsed = _timed_run(*argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: size bound")
+    assert elapsed < 1.0
 
 
 def test_malformed_input_exit_code():

@@ -179,3 +179,108 @@ def test_omega_tilde_naturality_under_semigroup_maps(qs8, alph8):
         lhs = omega_tilde(qs8, F(w))
         rhs = omega_tilde(qs8, w).map_keys(F)
         assert lhs == rhs
+
+
+# -- the cut recursions against a plain enumeration of decompositions ---------
+
+NONASSOC_TABLE = """mode: explicit
+alphabet: a:1, b:1
+bound: 6
+a , a -> b
+a , b -> a
+b , a -> 2*a
+a.a , b -> b
+"""
+
+
+def _decompositions(w, k):
+    """Every cut of w into k nonempty blocks, from its k - 1 cut positions."""
+    for cuts in itertools.combinations(range(1, len(w)), k - 1):
+        bounds = (0,) + cuts + (len(w),)
+        yield [w[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _left_fold(B, blocks, memo):
+    prod = LinComb.single(blocks[0])
+    for b in blocks[1:]:
+        prod = induced_product(B, prod, b, memo)
+    return prod
+
+
+def enumerated_eulerian(B, w, memo):
+    """e(w) as the sum over all 2^(n-1) decompositions, left fold each."""
+    out = LinComb.zero()
+    for k in range(1, len(w) + 1):
+        for blocks in _decompositions(w, k):
+            out = out + Fraction((-1) ** (k - 1), k) * _left_fold(B, blocks, memo)
+    return out
+
+
+def enumerated_varpi(B, w, memo):
+    """varpi(w) as the sum of <b1, b2 * ... * bk> over all decompositions."""
+    if len(w) == 1:
+        return LinComb.single(w)
+    out = LinComb.zero()
+    for k in range(2, len(w) + 1):
+        for blocks in _decompositions(w, k):
+            tail = _left_fold(B, blocks[1:], memo)
+            out = out + Fraction((-1) ** (k - 1), k) * B.bracket_elem(blocks[0], tail)
+    return out
+
+
+def _bench_corpora(qs3, sh3, flalg):
+    """Every word of length <= 5 over the benchmark's four structures; on the
+    six-letter shuffle alphabet its letters are distinct, as in the benchmark."""
+    from gebra.binfty import BInftyStructure
+    from gebra.words import Alphabet
+
+    sh6 = BInftyStructure.shuffle(Alphabet("a, b, c, d, e, f"))
+    distinct = [w for w in sh6.alphabet.words(5, minlen=1) if len(set(w.idx)) == len(w)]
+    return [
+        (qs3, list(qs3.alphabet.words(5, minlen=1))),
+        (sh3, list(sh3.alphabet.words(5, minlen=1))),
+        (flalg, list(flalg.alphabet.words(5, minlen=1))),
+        (sh6, distinct),
+    ]
+
+
+def test_recursions_match_enumeration_on_bench_structures(qs3, sh3, flalg):
+    for B, corpus in _bench_corpora(qs3, sh3, flalg):
+        memo = {}
+        for w in corpus:
+            assert eulerian_idempotent(B, w) == enumerated_eulerian(B, w, memo), (B.mode, w)
+            assert varpi(B, w) == enumerated_varpi(B, w, memo), (B.mode, w)
+
+
+def test_recursions_keep_the_left_fold_on_a_nonassociative_table():
+    from gebra.binfty import check_axioms, parse_bracket_file
+
+    B = parse_bracket_file(NONASSOC_TABLE)
+    assert check_axioms(B, 3)["assoc"] is False
+    memo = {}
+    for w in B.alphabet.words(5, minlen=1):
+        assert eulerian_idempotent(B, w) == enumerated_eulerian(B, w, memo), w
+        assert varpi(B, w) == enumerated_varpi(B, w, memo), w
+
+
+def test_zeta_inverts_omega_on_bench_structures(qs3, sh3, flalg):
+    for B, corpus in _bench_corpora(qs3, sh3, flalg):
+        for w in corpus:
+            x = LinComb.single(w)
+            assert zeta_tilde(B, omega_tilde(B, x)) == x, (B.mode, w)
+
+
+def test_word_past_the_table_bound_still_raises():
+    from gebra.binfty import parse_bracket_file
+
+    B = parse_bracket_file(NONASSOC_TABLE.replace("bound: 6", "bound: 2"))
+    fits = parse_word("a.b.a", B.alphabet)
+    memo = {}
+    assert eulerian_idempotent(B, fits) == enumerated_eulerian(B, fits, memo)
+    assert varpi(B, fits) == enumerated_varpi(B, fits, memo)
+    past = parse_word("a.b.a.a", B.alphabet)
+    for fn in (eulerian_idempotent, varpi, omega_tilde, zeta_tilde):
+        with pytest.raises(InputError, match="outside the table bound"):
+            fn(B, past)
+    with pytest.raises(InputError, match="outside the table bound"):
+        enumerated_eulerian(B, past, {})

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from gebra.exactlin import InputError, LinComb
+from gebra.exactlin import InputError, LinComb, format_terms
 from gebra.words import (
     Alphabet,
     LetterMap,
@@ -17,7 +17,6 @@ from gebra.words import (
     concat_expand,
     coradical_degree,
     deconcat,
-    format_tensor,
     inverse_structure_endo,
     parse_tensor,
     parse_word,
@@ -77,7 +76,7 @@ def test_parse_tensor_roundtrip(ab):
     x = parse_tensor("2*a.b + -1/2*b + 1", ab)
     assert x.coeff(parse_word("a.b", ab)) == 2
     assert x.coeff(ab.empty_word()) == 1
-    assert parse_tensor(format_tensor(x), ab) == x
+    assert parse_tensor(format_terms(x), ab) == x
 
 
 def test_block_decompositions_counts(ab):
