@@ -122,6 +122,7 @@ def cmd_shuffle(args):
     B = BInftyStructure.shuffle(alphabet)
     w = parse_word(args.word, alphabet)
     w2 = parse_word(args.word2, alphabet)
+    check_word_bound(len(w) + len(w2))
     _emit_elem(args, induced_product(B, w, w2))
 
 
@@ -131,6 +132,7 @@ def cmd_qshuffle(args):
         raise InputError("qshuffle needs a quasi_shuffle table (mode: qshuffle)")
     w = parse_word(args.word, B.alphabet)
     w2 = parse_word(args.word2, B.alphabet)
+    check_word_bound(len(w) + len(w2))
     _emit_elem(args, induced_product(B, w, w2))
 
 

@@ -103,10 +103,6 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
 
-def descent_set(p):
-    return p.descent_set()
-
-
 def parse_permutation(text):
     parts = text.replace(",", " ").split()
     if not parts:

@@ -2,13 +2,16 @@
 
 A finite topology is stored as its specialization quasi-order: rows of
 bitmasks, bit j of rows[i] meaning i <= j.  Open sets are the up-closed
-subsets.  Isomorphism classes are taken by exhaustive relabeling (small n
-only) and form the basis of a double bialgebra:
+subsets.  An isomorphism class is keyed by the lex-least relation matrix
+over all relabelings, found by a refinement-guided search that never lists
+the n! relabelings (small n only); the classes form the basis of a double
+bialgebra:
 
   * m        disjoint union (commutative, unit the empty topology),
   * Delta    splitting along open sets,
   * down     the stacking product putting one order entirely below another,
   * delta    contraction-restriction over the admissible partitions E_c,
+             enumerated from connected blocks on bitmasks,
 
 with the projector pi onto the primitives of (m, Delta), the bracket
 pi((x1 down ... ) (y1 down ...)) on them, the polynomial invariant Upsilon,
@@ -22,10 +25,11 @@ only repeat work, never corrupt a result.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as _permutations, product as _product
+from itertools import combinations, product as _product
 from math import comb
 
 from .exactlin import (
+    ONE,
     Fraction,
     InputError,
     LinComb,
@@ -33,6 +37,7 @@ from .exactlin import (
     SizeBoundError,
     ZERO,
     format_terms,
+    lin_sum,
 )
 from .words import compositions
 
@@ -75,6 +80,16 @@ class QuasiOrder:
             for i in range(n):
                 if base[i] & bit:
                     base[i] |= rk
+
+    @classmethod
+    def closed(cls, n, rows):
+        """Wrap rows that are already reflexive and transitive: no checks,
+        no closure.  For relations derived from a QuasiOrder by restriction,
+        relabeling, stacking or contraction."""
+        q = cls.__new__(cls)
+        q.n = n
+        q.rows = rows
+        return q
 
     @property
     def full_mask(self):
@@ -132,7 +147,7 @@ class QuasiOrder:
                 if (self.rows[i] >> j) & 1:
                     r |= 1 << t
             rows.append(r)
-        return QuasiOrder(len(pos), rows)
+        return QuasiOrder.closed(len(pos), rows)
 
     def restrict_blocks(self, p):
         """Keep only relations inside the blocks of p; vertex set unchanged."""
@@ -163,43 +178,13 @@ class QuasiOrder:
 
     def disjoint_union(self, other):
         rows = list(self.rows) + [r << self.n for r in other.rows]
-        return QuasiOrder(self.n + other.n, rows)
+        return QuasiOrder.closed(self.n + other.n, rows)
 
     def down(self, other):
         """Everything of self below everything of other."""
         high = ((1 << other.n) - 1) << self.n
         rows = [r | high for r in self.rows] + [r << self.n for r in other.rows]
-        return QuasiOrder(self.n + other.n, rows)
-
-    def connected_components(self):
-        """Components of the comparability graph, as masks sorted by lowest vertex."""
-        und = list(self.rows)
-        for i in range(self.n):
-            for j in range(self.n):
-                if (self.rows[i] >> j) & 1:
-                    und[j] |= 1 << i
-        seen = 0
-        comps = []
-        for i in range(self.n):
-            if (seen >> i) & 1:
-                continue
-            comp = 1 << i
-            while True:
-                grown = comp
-                m = comp
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    grown |= und[v]
-                    m &= m - 1
-                if grown == comp:
-                    break
-                comp = grown
-            seen |= comp
-            comps.append(comp)
-        return comps
-
-    def is_connected(self):
-        return self.n > 0 and len(self.connected_components()) == 1
+        return QuasiOrder.closed(self.n + other.n, rows)
 
     def to_text(self):
         """The input grammar form: vertex count, then generating pairs."""
@@ -287,9 +272,9 @@ _CANON_MEMO = {}
 class QuasiOrderClass:
     """A topology up to homeomorphism: the lex-least relation matrix.
 
-    The matrix over each of the n! relabelings is flattened row-major and
-    the smallest is kept; two quasi-orders canonicalize equal iff they are
-    isomorphic.  Exhaustive, hence the size bound.
+    Over all relabelings the matrix is flattened row-major and the least is
+    kept (`_lex_min_rows`); two quasi-orders canonicalize equal iff they are
+    isomorphic.  Labeled inputs already seen are answered from a memo.
     """
 
     __slots__ = ("q", "key")
@@ -303,21 +288,9 @@ class QuasiOrderClass:
             self.q, self.key = hit
             return
         n = q.n
-        best = None
-        for perm in _permutations(range(n)):
-            cand = tuple(_row_key(q.rows[perm[i]], perm, n) for i in range(n))
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            best = ()
-        rows = []
-        for val in best:
-            r = 0
-            for j in range(n):
-                if (val >> (n - 1 - j)) & 1:
-                    r |= 1 << j
-            rows.append(r)
-        self.q = QuasiOrder(n, rows)
+        best = _lex_min_rows(q.rows, n)
+        rows = [sum(1 << j for j in range(n) if (val >> (n - 1 - j)) & 1) for val in best]
+        self.q = QuasiOrder.closed(n, rows)
         self.key = (n, best)
         _CANON_MEMO[memo_key] = (self.q, self.key)
         _CANON_MEMO[(n, tuple(self.q.rows))] = (self.q, self.key)
@@ -347,13 +320,83 @@ class QuasiOrderClass:
         return f"QuasiOrderClass({self.q.to_text()!r})"
 
 
-def _row_key(row, perm, n):
-    """The permuted row as an integer whose bits read left to right."""
-    val = 0
-    for j in range(n):
-        if (row >> perm[j]) & 1:
-            val |= 1 << (n - 1 - j)
-    return val
+def _columns(rows, n):
+    """cols[j] has bit i set iff bit j of rows[i] is set."""
+    cols = [0] * n
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
+
+
+def _lex_min_rows(rows, n):
+    """The lex-least matrix over all relabelings, as n row integers whose
+    bits read left to right (position 0 most significant).
+
+    A search over ordered partitions of the vertices, the cells filling
+    consecutive positions (McKay-Piperno individualization-refinement, cut
+    down to this one ordering).  Every cell is all successors or all
+    non-successors of each placed vertex, so placed rows are fixed.  The
+    next position takes a vertex of its cell; that vertex's row is least
+    with every unplaced cell arranged non-successors first, so each
+    candidate's row is known exactly.  Only the candidates reaching the
+    least row are kept, and each splits every cell into (non-successors,
+    successors); branches reaching the same ordered partition are merged.
+    A lex-least relabeling can always be rearranged inside cells to follow
+    a kept branch, so the minimum is never pruned.  A
+    candidate is skipped when its transposition with one already tried is
+    an automorphism: that transposition fixes the placed vertices and maps
+    one branch onto the other.
+    """
+    cols = _columns(rows, n)
+    best = []
+    level = [((1 << n) - 1,)]
+    for i in range(n):
+        least = None
+        kept = {}
+        for cells in level:
+            cell = cells[i]
+            tried = []
+            m = cell
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                succ = rows[v]
+                if any(_is_twin(rows, cols, u, v) for u in tried):
+                    continue
+                tried.append(v)
+                val = 0
+                split = []
+                for c in cells[:i] + (low, cell ^ low) + cells[i + 1:]:
+                    below, above = c & ~succ, c & succ
+                    if below:
+                        split.append(below)
+                        val <<= below.bit_count()
+                    if above:
+                        split.append(above)
+                        k = above.bit_count()
+                        val = (val << k) | ((1 << k) - 1)
+                if least is None or val < least:
+                    least = val
+                    kept = {}
+                if val == least:
+                    kept[tuple(split)] = None
+        best.append(least)
+        level = list(kept)
+    return tuple(best)
+
+
+def _is_twin(rows, cols, u, v):
+    """True when swapping u and v is an automorphism."""
+    off = ~((1 << u) | (1 << v))
+    return (
+        rows[u] & off == rows[v] & off
+        and cols[u] & off == cols[v] & off
+        and (rows[u] >> v) & 1 == (rows[v] >> u) & 1
+    )
 
 
 def canonicalize(q):
@@ -414,13 +457,13 @@ def topo_name(tc):
     n = tc.n
     if n == 0:
         return "1"
-    q = tc.q
-    singleton_classes = all(len(c) == 1 for c in q.classes())
-    if q.is_equivalence():
-        return f"disc{n}" if singleton_classes else None
-    if not singleton_classes:
-        return None
-    pops = sorted(r.bit_count() for r in q.rows)
+    # Up-set sizes alone decide it.  Equivalent vertices share their
+    # up-set, so each pattern below forces singleton classes: sizes all 1
+    # (the discrete topology), all distinct (a chain), or n-1 ones and one
+    # n (a corolla); any other topology has no short name.
+    pops = sorted(r.bit_count() for r in tc.q.rows)
+    if pops[-1] == 1:
+        return f"disc{n}"
     if pops == list(range(1, n + 1)):
         return f"l{n}"
     if n >= 3 and pops == [1] * (n - 1) + [n]:
@@ -523,26 +566,111 @@ def set_partitions(n):
     yield from rec(0, [])
 
 
-def _in_ec(q, p):
-    """The two admissibility conditions for the contraction coproduct.
+def _ec_blocks(q):
+    """Yield (blocks, reach) for every partition in E_c.
 
-    Each block must be connected in the restriction, and merging the blocks
-    must not create any further identifications.
+    blocks are masks in order of lowest vertex; reach[k] is the quotient
+    row of every vertex of blocks[k].  The block holding the lowest free vertex
+    is a submask of the free vertices connected in the comparability graph.
+    A partition is admissible when no two distinct blocks reach each other
+    in the block digraph, i.e. contracting the blocks identifies nothing
+    further.  A block related both ways to an earlier one is refused on
+    the spot; longer cycles are found by one bitmask closure per partition.
     """
-    r = q.restrict_blocks(p)
-    for m in p.masks():
-        if not r.restrict_mask(m).is_connected():
-            return False
-    quot = q.quotient(p)
-    return tuple(quot.classes()) == p.blocks
+    rows = q.rows
+    adj = [r | c for r, c in zip(rows, _columns(rows, q.n))]
+    blocks = []
+    ups = []  # up-set of each block in q
+
+    def connected(b):
+        comp = b & -b
+        while True:
+            grown = comp
+            m = comp
+            while m:
+                low = m & -m
+                grown |= adj[low.bit_length() - 1]
+                m ^= low
+            grown &= b
+            if grown == comp:
+                return comp == b
+            comp = grown
+
+    def quotient_rows():
+        reach = list(ups)
+        k = len(blocks)
+        for c in range(k):
+            bc, rc = blocks[c], reach[c]
+            for a in range(k):
+                if reach[a] & bc:
+                    reach[a] |= rc
+        for a in range(k):
+            for c in range(a + 1, k):
+                if reach[a] & blocks[c] and reach[c] & blocks[a]:
+                    return None
+        return reach
+
+    def rec(free):
+        if not free:
+            reach = quotient_rows()
+            if reach is not None:
+                yield list(blocks), reach
+            return
+        low = free & -free
+        rest = free ^ low
+        sub = rest
+        while True:
+            b = low | sub
+            if connected(b):
+                up = 0
+                m = b
+                while m:
+                    bit = m & -m
+                    up |= rows[bit.bit_length() - 1]
+                    m ^= bit
+                if not any(up & a and u & b for a, u in zip(blocks, ups)):
+                    blocks.append(b)
+                    ups.append(up)
+                    yield from rec(free ^ b)
+                    blocks.pop()
+                    ups.pop()
+            if not sub:
+                return
+            sub = (sub - 1) & rest
+
+    yield from rec(q.full_mask)
+
+
+def _ec_splits(q):
+    """(quotient, block restriction) for every partition in E_c."""
+    n, rows = q.n, q.rows
+    for blocks, reach in _ec_blocks(q):
+        quot = [0] * n
+        restr = [0] * n
+        for b, up in zip(blocks, reach):
+            m = b
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                quot[v] = up
+                restr[v] = rows[v] & b
+                m ^= low
+        yield QuasiOrder.closed(n, quot), QuasiOrder.closed(n, restr)
+
+
+def _check_delta_bound(q):
+    if q.n > DELTA_BOUND:
+        raise SizeBoundError(f"size bound: contraction partitions stop at n = {DELTA_BOUND}")
 
 
 def ec_partitions(q):
     if isinstance(q, QuasiOrderClass):
         q = q.q
-    if q.n > DELTA_BOUND:
-        raise SizeBoundError(f"size bound: contraction partitions stop at n = {DELTA_BOUND}")
-    return [p for p in set_partitions(q.n) if _in_ec(q, p)]
+    _check_delta_bound(q)
+    return [
+        Partition(q.n, [[v for v in range(q.n) if (b >> v) & 1] for b in blocks])
+        for blocks, _ in _ec_blocks(q)
+    ]
 
 
 # -- the two coproducts ------------------------------------------------------
@@ -553,11 +681,10 @@ def coproduct_Delta(t):
     tc = as_class(t)
     q = tc.q
     full = q.full_mask
-    out = LinComb.zero()
-    for O in q.open_mask_list():
-        pair = (canonicalize(q.restrict_mask(full & ~O)), canonicalize(q.restrict_mask(O)))
-        out = out + LinComb.single(pair)
-    return out
+    return lin_sum(
+        (ONE, {(canonicalize(q.restrict_mask(full & ~O)), canonicalize(q.restrict_mask(O))): ONE})
+        for O in q.open_mask_list()
+    )
 
 
 def _reduced_splits(q):
@@ -584,14 +711,10 @@ def coproduct_delta(t):
     """Contraction-restriction: sum of (quotient, block restriction) over E_c."""
     tc = as_class(t)
     q = tc.q
-    if q.n > DELTA_BOUND:
-        raise SizeBoundError(f"size bound: contraction partitions stop at n = {DELTA_BOUND}")
-    out = LinComb.zero()
-    for p in set_partitions(q.n):
-        if _in_ec(q, p):
-            pair = (canonicalize(q.quotient(p)), canonicalize(q.restrict_blocks(p)))
-            out = out + LinComb.single(pair)
-    return out
+    _check_delta_bound(q)
+    return lin_sum(
+        (ONE, {(canonicalize(quot), canonicalize(restr)): ONE}) for quot, restr in _ec_splits(q)
+    )
 
 
 def eps_delta(t):
@@ -606,21 +729,21 @@ def eps_delta(t):
 def product_m(x, y):
     """Disjoint union, extended bilinearly."""
     x, y = as_topo_elem(x), as_topo_elem(y)
-    out = LinComb.zero()
-    for a, ca in x.items():
-        for b, cb in y.items():
-            out = out + LinComb.single(canonicalize(a.q.disjoint_union(b.q)), ca * cb)
-    return out
+    return lin_sum(
+        (ca * cb, {canonicalize(a.q.disjoint_union(b.q)): ONE})
+        for a, ca in x.terms.items()
+        for b, cb in y.terms.items()
+    )
 
 
 def down_product(x, y):
     """Stacking product, extended bilinearly."""
     x, y = as_topo_elem(x), as_topo_elem(y)
-    out = LinComb.zero()
-    for a, ca in x.items():
-        for b, cb in y.items():
-            out = out + LinComb.single(canonicalize(a.q.down(b.q)), ca * cb)
-    return out
+    return lin_sum(
+        (ca * cb, {canonicalize(a.q.down(b.q)): ONE})
+        for a, ca in x.terms.items()
+        for b, cb in y.terms.items()
+    )
 
 
 # -- the infinitesimal projector and the bracket -----------------------------
@@ -635,12 +758,9 @@ def inf_pi(x):
     reduced coproduct; kills stacked products, fixes primitives.
     """
     x = as_topo_elem(x)
-    out = LinComb.zero()
-    for tc, c in x.items():
-        if tc.n == 0:
-            raise InputError("not augmentation-reduced")
-        out = out + _pi_class(tc).scale(c)
-    return out
+    if any(tc.n == 0 for tc in x.terms):
+        raise InputError("not augmentation-reduced")
+    return lin_sum((c, _pi_class(tc)) for tc, c in x.terms.items())
 
 
 def _pi_class(tc):
@@ -648,16 +768,20 @@ def _pi_class(tc):
     if hit is not None:
         return hit
     q = tc.q
-    total = LinComb.zero()
-    for k in range(1, q.n + 1):
-        sign = Fraction((-1) ** (k + 1))
-        for tup in delta_bar_tuples(q, k):
-            acc = tup[0]
-            for f in tup[1:]:
-                acc = acc.down(f)
-            total = total + LinComb.single(canonicalize(acc), sign)
+    total = lin_sum(
+        (ONE if k % 2 else -ONE, {canonicalize(_fold(QuasiOrder.down, tup)): ONE})
+        for k in range(1, q.n + 1)
+        for tup in delta_bar_tuples(q, k)
+    )
     _PI_MEMO[tc.key] = total
     return total
+
+
+def _fold(op, factors):
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = op(acc, f)
+    return acc
 
 
 def _down_fold(elems):
@@ -795,10 +919,7 @@ def eulerian_e(t, method="via_delta"):
     direct: the log-of-identity series for the open-set coproduct.
     """
     x = as_topo_elem(t)
-    out = LinComb.zero()
-    for tc, c in x.items():
-        out = out + _e_class(tc, method).scale(c)
-    return out
+    return lin_sum((c, _e_class(tc, method)) for tc, c in x.terms.items())
 
 
 def _e_class(tc, method):
@@ -809,22 +930,17 @@ def _e_class(tc, method):
         return hit
     q = tc.q
     if method == "via_delta":
-        out = LinComb.zero()
-        for p in set_partitions(q.n):
-            if not _in_ec(q, p):
-                continue
-            lam = _lambda_class(canonicalize(q.quotient(p)), "upsilon_integral")
-            if lam:
-                out = out + LinComb.single(canonicalize(q.restrict_blocks(p)), lam)
+        out = lin_sum(
+            (lam, {canonicalize(restr): ONE})
+            for quot, restr in _ec_splits(q)
+            if (lam := _lambda_class(canonicalize(quot), "upsilon_integral"))
+        )
     elif method == "direct":
-        out = LinComb.zero()
-        for k in range(1, q.n + 1):
-            coeff = Fraction((-1) ** (k - 1), k)
-            for tup in delta_bar_tuples(q, k):
-                acc = tup[0]
-                for f in tup[1:]:
-                    acc = acc.disjoint_union(f)
-                out = out + LinComb.single(canonicalize(acc), coeff)
+        out = lin_sum(
+            (Fraction((-1) ** (k - 1), k), {canonicalize(_fold(QuasiOrder.disjoint_union, tup)): ONE})
+            for k in range(1, q.n + 1)
+            for tup in delta_bar_tuples(q, k)
+        )
     else:
         raise InputError(f"unknown method {method!r}")
     _E_MEMO[(tc.key, method)] = out
@@ -851,10 +967,7 @@ def antipode(t):
     On the augmentation ideal -S agrees with pi (not at the unit).
     """
     x = as_topo_elem(t)
-    out = LinComb.zero()
-    for tc, c in x.items():
-        out = out + _antipode_class(tc).scale(c)
-    return out
+    return lin_sum((c, _antipode_class(tc)) for tc, c in x.terms.items())
 
 
 def _antipode_class(tc):
@@ -863,12 +976,14 @@ def _antipode_class(tc):
     hit = _ANTIPODE_MEMO.get(tc.key)
     if hit is not None:
         return hit
-    q = tc.q
-    out = LinComb.single(tc, Fraction(-1))
-    for left, right in _reduced_splits(q):
-        s_left = _antipode_class(canonicalize(left))
-        for a, ca in s_left.items():
-            out = out + LinComb.single(canonicalize(a.q.down(right)), -ca)
+    out = lin_sum(
+        [(-ONE, {tc: ONE})]
+        + [
+            (-ca, {canonicalize(a.q.down(right)): ONE})
+            for left, right in _reduced_splits(tc.q)
+            for a, ca in _antipode_class(canonicalize(left)).terms.items()
+        ]
+    )
     _ANTIPODE_MEMO[tc.key] = out
     return out
 
@@ -890,23 +1005,17 @@ def closed_form_e(kind, n):
     if n > EULER_BOUND:
         raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
     if kind == "ladder":
-        out = LinComb.zero()
-        for c in compositions(n):
-            k = len(c)
-            acc = QuasiOrder(0)
-            for part in c:
-                acc = acc.disjoint_union(ladder(part).q)
-            out = out + LinComb.single(canonicalize(acc), Fraction((-1) ** (k + 1), k))
-        return out
+        return lin_sum(
+            (Fraction((-1) ** (len(c) + 1), len(c)),
+             {canonicalize(_fold(QuasiOrder.disjoint_union, [ladder(part).q for part in c])): ONE})
+            for c in compositions(n)
+        )
     if kind == "corolla":
-        out = LinComb.zero()
-        for i in range(n):
-            lam = _lambda_class(_corolla_or_point(i + 1), "upsilon_integral")
-            coeff = comb(n - 1, i) * lam
-            if coeff:
-                acc = QuasiOrder(i).disjoint_union(_corolla_or_point(n - i).q)
-                out = out + LinComb.single(canonicalize(acc), coeff)
-        return out
+        return lin_sum(
+            (coeff, {canonicalize(QuasiOrder(i).disjoint_union(_corolla_or_point(n - i).q)): ONE})
+            for i in range(n)
+            if (coeff := comb(n - 1, i) * _lambda_class(_corolla_or_point(i + 1), "upsilon_integral"))
+        )
     raise InputError(f"unknown kind {kind!r}")
 
 
@@ -968,20 +1077,3 @@ def all_isoclasses(n):
     out = sorted(seen.values())
     _ISO_MEMO[n] = out
     return out
-
-
-# -- spec-facing aliases for the partition operations ------------------------
-
-
-def restrict(t, p):
-    """Within-block restriction (spec-facing wrapper)."""
-    if isinstance(t, QuasiOrderClass):
-        t = t.q
-    return t.restrict_blocks(p)
-
-
-def quotient(t, p):
-    """Block contraction on the original vertex set (spec-facing wrapper)."""
-    if isinstance(t, QuasiOrderClass):
-        t = t.q
-    return t.quotient(p)

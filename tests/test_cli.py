@@ -555,6 +555,107 @@ def test_long_word_output_is_byte_identical_within_budget(argv, digest, budget):
     assert elapsed < budget
 
 
+# sha256 of the stdout of delta, delta2, pi, upsilon, lambda, eulerian and
+# pieul run one after another on each topology (text, then --json), pinned
+# from the route that scanned all n! relabelings and all Bell(n) partitions.
+# Inputs: every isoclass on 1..4 points, ladders and corollas up to 6 points,
+# and seeded random relabelings of 5- and 6-point quasi-orders (some not T0).
+TOPO_COMMANDS = ("delta", "delta2", "pi", "upsilon", "lambda", "eulerian", "pieul")
+TOPO_GOLDEN = [
+    ('1', "5ae427f671dd128d314be04b747880162f83999258fa46eba1907c30e1a3df59", "e3914faa6d9191cc77e3a6424a32cecd3291d0167760768bc05dc60bfe058fc7"),
+    ('2', "9ebbb3da3697a04b19c71ad46375932f9090131833c30aee3bc8ace2b907a280", "cbd23466e88091d7f77b4aca5aa34642917fa23783f2e9d5eb2c6d470258ff36"),
+    ('2; 2<1', "9ed97e1e9b0dff92a5510c4437a524fcbcd85f969f439dc1150c077cad3fd8ea", "aa5d170dcf155799119376fa5b195c4eab3f49f51b2c54626cea6bbc75cbbadc"),
+    ('2; 1~2', "5ceae22e443db190999e942fca9db9ca7570bcffb9f792bf9d9bebc744a79392", "1c2c9dce77e973b9eefa0792c6b7b8161fae363d80b996ec625b976a3278db1d"),
+    ('3', "36c4ec4e629e49e42e709e804207aa30d35692b17ebf05ca034ae7208e5d4cbd", "300e3005ab94ed9982350bcb2da3066fd43c22d156cecd57d29d14e136667e0f"),
+    ('3; 3<2', "ccc6891573a04d2ad7d0996f0e093feecb18876bf5d69b56be14e9f8efe6184c", "196833d07fb1593301fc60c63a89305cc5dae39845bf545aa2af28f62e230970"),
+    ('3; 3<1, 3<2', "9219d04e0a7c510eedff7162e790c694b1198b7479883503e22ea688b1ace59f", "62826624d6273dd686bd8fa7212a86050eb4b5925cee3a714a67cfd287f80526"),
+    ('3; 2~3', "d35df1d769cff3dc3e56200325f55b4dbbb98676b7e44cb7efda80b3875f5424", "eefa024ed0e6487dffb0ccf8ea3d07e8ddc84ce23923c71b5c4f493767d04ccb"),
+    ('3; 2<1, 3<1', "533c860b0218a578e331c70d570f4307d0da738eddfe3a1595607b88787b2108", "048fa31b69bb0b9aa0999f5a0f77a9ed186f19b0850fc4f3b1493fdd9078c294"),
+    ('3; 2<1, 3<1, 3<2', "3b2ed393c04ad4230cb83c0c83089b72839b60ff0aba340cf6ca187e1b2a89d9", "b7e4c438fa12e4f613a701b11f2cb50dc2ec8c1dde2127ec6f598dfb2e3d793b"),
+    ('3; 2<1, 3<1, 2~3', "ab59449431f34c188344f9089a8d4de0f4d2ad56c0dfb9b2ebd4a4eff88e2b7c", "dd15868ba46c090985333e5f8ab348b17218f70091f68c58e502639372430be5"),
+    ('3; 2<1, 1~3, 2<3', "309b259d9a42e1e1f32fb0121ac7add831d38f9b4f7efbe5c1350d1f60831845", "1c3933bc9e669943c3d35c770a170deb7bdeb43a17bb840ec2e429bbe231a3d3"),
+    ('3; 1~2, 1~3, 2~3', "6ab8644cd27d16b997848e97504792a3d382ae928c9f782d8ad8862e69b5ad1a", "78fb6b42935635770ada21f49fe97b4d9f106ad5fae3da1d06133297d57740c1"),
+    ('4', "552f20bc253278975934c69c8a6c544ebb7e198cf3bc60ad60d153f12dc18f9c", "b50a6342babffa24a7bced70b0af4ef6ce444cdc21b6da4a193095404a5964e3"),
+    ('4; 4<3', "48bacd024d651c1d2989225c5d3a8146d301543b44ab5bfd8315fc2dfedecc16", "38fe272cb431d83604e997ceafdc9d024a81c43c5b917f36d7481b824c3338b2"),
+    ('4; 4<2, 4<3', "78036a1084870b684744c5038c0042869882f0c8c8b75d60221c16f981c9811f", "52d74e7c74873dd8dc8aad82c94af09d2001e1a1ff492e1d9077fdb438ffd85c"),
+    ('4; 4<1, 4<2, 4<3', "7b4fd87bdd609cdd4d066499683e07517c84919a4ad9bf30c3520ec62ae605e2", "6f93b721ff8e8e8fe189335cc0c14c0e1c1f33579f767be8752469f18cb46bb8"),
+    ('4; 3~4', "24c4738f73c95e0ee746e463f08eb32b31754aa7dcb5775f745d9fed31f4ca1b", "7367ca13a80cd2e7163ae581defbe1b3ddba0a263b2e44e5905d76e80f8af1d7"),
+    ('4; 3<2, 4<2', "da819f23bb981a23ffda716cffe03496970da4a519cdcdfe132c4fe530e76edc", "b1cebf89516671213705bd2d91443e839656f6c78fefa02778f810cf8ec04103"),
+    ('4; 3<2, 4<2, 4<3', "5b7b8328da37116e6f49b2f0c4273d5823797419a8d87ca6b782df0c8128c35f", "97149bf2cd13b80d20c7907f3ab4209a4a8d214bb23b80afa59637c21709d6fc"),
+    ('4; 4<1, 3<2', "7b1ec38608adf97e39cc3bc5abb8e1dde36600af4a45666f354cb19dcc88ff4c", "370002bd96ebe79bf3f89d3a046484732047324b821ae8a6e6ecc44cec07b7b6"),
+    ('4; 4<1, 3<2, 4<2', "964f04fef7a8ca8b690aa77058ca35230b53eef882488e783451e83b2ea75823", "88f40eb6d0c6ecddb857186a90f8c1e6d13018a3459333faf963473c06fffa04"),
+    ('4; 4<1, 3<2, 4<2, 4<3', "005c973047c75b92ccf8b05c716150466992e63c75463ab60f57fc5bdb1c1cc0", "70fe4bf93c59561c23f440ceb811fdae9aef56641d387f159124b2179ca9b669"),
+    ('4; 3<2, 4<2, 3~4', "2636ec1a4d0a27dfc5cc78cdc1d170c6d18f871db3e7cd03a5de40b518a6dced", "9a5d38ba41a1473e13e85dfbf715307bca8d0ddc73f93a79d25d1d116280db3c"),
+    ('4; 3<1, 4<1, 3<2, 4<2', "9b982bf344d3af4f469dbaaa8a2e10025ae5abf55f3156d23fd7db3e9bd2a73d", "d17baa3ef4ccc9c3a0b19f2858b36cb788057b555b523c3aa7ca2011f8016490"),
+    ('4; 3<1, 4<1, 3<2, 4<2, 4<3', "e6b20aceaac7ce67bf5d49991c5c456eaa05a3b1c4cb7b5e283b545180844a94", "87c659b4e94c4dcc3609a2f0529de06091f4a9de9cd50e54138aab00b8410a00"),
+    ('4; 3<1, 4<1, 3<2, 4<2, 3~4', "13e313adeb73d01a1952f3bb8e480d33af51d8f4b86d37db334c3a9f9ced6b7c", "5a4d66b250c6bf248690676fedbb27373d6213df8dacc0ef6b57e0add927c687"),
+    ('4; 3<2, 2~4, 3<4', "94b60db1b9ba3c3958e827e71ffae70d6398f31c68dd9c266f7a73420498dd16", "8804c7298171a89109c9c41854f7a0e2ea61091fb08415845fc966926e7322ce"),
+    ('4; 3<1, 2~4', "f7ad06859c19865ce1f2944568698cdd2e9f4157847a6765d1a50724e104cf7c", "b96edc688ea985dd7d1f15716154f4f884b9be6c04fa20c2ca42f7f5cad2fe29"),
+    ('4; 3<1, 3<2, 2~4, 3<4', "6a5cdd98b5671b029be03113b50d3eac6a193fba2dce3919e2e1bb32de9fcc81", "3a844ae0ebe7710540f840139f935f1ca4b9529c541472fa9e9708122609977f"),
+    ('4; 2~3, 2~4, 3~4', "96c30a66d896fed1f4e98751bc294f3223b7fea1c761bb62a0f8d84dac7c8aaf", "d7b0e6f786e3a9fa827f65977382fd459f708925bb58749e1ab8ec2553a481fd"),
+    ('4; 2<1, 3<1, 4<1', "586806995d09ab372177f43397f4f84dfa7e09304b5626addac8045e40b2ab5b", "a4b1793270209b6a5b917e567e2b2ad18ff40c7e267446946daecb52d7369622"),
+    ('4; 2<1, 3<1, 4<1, 4<3', "9ef6b9a79c2015f9c02b4f14078810dad326a0da5ff1c5e21bdc7ba0b85ee8cf", "5ba0934d9e359da3d428b2302ad377a409ae1a31a37fd703372b10919e2db863"),
+    ('4; 2<1, 3<1, 4<1, 4<2, 4<3', "a394a9c79e728376d773fa43d471601837090f7c24c503c57219b18cd96f9e99", "2ac50b73c88e8fc911eb1660bf3b8d93aa1d178127085917e3dbfd269f85a7f9"),
+    ('4; 2<1, 3<1, 4<1, 3~4', "9380220d52e3a717dced8a3890ae4b4fd152abd541aa3082cb607fc9ac76cd5f", "b920f809dc627a67b396639bf0023d872da832d980441471dd8dda2a951eb3d4"),
+    ('4; 2<1, 3<1, 4<1, 3<2, 4<2', "bf7498ddc515f26166488e84cc568dfa51bbcf529473d0258fb81a7062cc7dd5", "9dc19cfc4056a3b74f0be556d06e2c54afe2c60d3414ad321a8d72bd4a0830fa"),
+    ('4; 2<1, 3<1, 4<1, 3<2, 4<2, 4<3', "786c19a589e8f6028e43dc3e44fc07c23e62533cf901c22fc98791e66c2fbc5d", "1427650bfbce6c3c7c473122345a9bc204c1d149221ea54a1ad12dda5a6a3f33"),
+    ('4; 2<1, 3<1, 4<1, 3<2, 4<2, 3~4', "a5d59b919ea0e602585fb36d7603ffd12db7590fd33b8585a319b890009d241e", "f929dceff7bcfdd5772d6d1517b554869bb74ee574b9537864baae7a410ecf8e"),
+    ('4; 2<1, 3<1, 4<1, 3<2, 2~4, 3<4', "bbafd477b953b8e40d524f18472f849d3ef093c9631b963bf1a7613a3bce81d3", "e5d1b247928d340b6fa07a2a64803d2f0b46d4ad150b12b4de99d443ad19b7ab"),
+    ('4; 2<1, 3<1, 4<1, 2~3, 2~4, 3~4', "05881f220451a52c76a50b08449ff5c3907bb36abc37b3eda837f3d7962f7a5a", "14d3b0884b1d137cac295fdaedb87582eb2c633e1a4c6793fb4dbea71cc015a9"),
+    ('4; 1~4, 2~3', "a35ee3aca327da5283938edfb874cc462b33eaef8c639f6ff1d47265c8eb49bc", "4034eada18f3d3e0a52335a40ff6e7362cd7330d112f9ce49ccdaee49c86a33f"),
+    ('4; 2<1, 3<1, 1~4, 2<4, 3<4', "0082a9db5005a4b8ac11e3f553f37cf4d6ab6caf77cb9186c2aa89b823f27d76", "1ee7d29ab8668133a88cc65a825fc182cc1c6b5f1d9fa2311a4a520f70cb4fe4"),
+    ('4; 2<1, 3<1, 1~4, 3<2, 2<4, 3<4', "ec13b0d1aade232cd9f652b54ca9ade0d725c97bff7f75ae3471451063c51606", "1fc9b590c950ecb3329c86219d99b49a6af29acf6bf61a151e93fbf876056bc6"),
+    ('4; 2<1, 3<1, 1~4, 2~3, 2<4, 3<4', "f5aeb451c75fc2bf0ffcf85f28d8c3057448e00b19324d1a99fd325423d1dcc2", "5477e22aa4a653795b85df3e072100f4613a3eefd72fae4c2b149fd910b9b96d"),
+    ('4; 2<1, 1~3, 1~4, 2<3, 2<4, 3~4', "03f95e70b289547f9ecadad984589d70dd2201f676eea5e1adfc320aed8db0f2", "7ec570c36a98d54416db47051d0cea46095c2c2ebb6fb45831e8ef6022d494e5"),
+    ('4; 1~2, 1~3, 1~4, 2~3, 2~4, 3~4', "7fe3a436018bef52e514dc2104517b1fd98fbdd970395d5e20f84dabc1f78861", "ae0d84903c745066b647c7a2b37b7b7f2bcf5cf8270c27d71cb121c3ef2d4214"),
+    ('5; 2<1, 3<1, 4<1, 5<1, 3<2, 4<2, 5<2, 4<3, 5<3, 5<4', "ee1e9a59573b45750095511562ca5ad3499066adaf6cb26a3b4b31f14c06e4ed", "9191521562a6ce1dfd1041cbb17b15e59fbf7c4ae1edcd8ca06e47f7865431e9"),
+    ('6; 2<1, 3<1, 4<1, 5<1, 6<1, 3<2, 4<2, 5<2, 6<2, 4<3, 5<3, 6<3, 5<4, 6<4, 6<5', "8a750250970db109e27bb1e32da50530e271297d734920c926ef7a02635aa488", "8e77350427659aadb5290766369d93b8cb291b7b0920c7c82ebb323dea81c775"),
+    ('5; 5<1, 5<2, 5<3, 5<4', "bb45931d8848b097951edea4c174b785f0fef2fcc464df4f34637a5b4a05c53e", "367a2f8963991c4c01a7578b8ff5ac0ce4246fb17d484cd46584dc69a63ae546"),
+    ('6; 6<1, 6<2, 6<3, 6<4, 6<5', "692fdc85ed3cc490c8d2008e6a9fcc2f0a937f387113fd3735e235cfe1854139", "83474ee0a38f67211ad1d095bedd13eda1cb48821fc455866a70bdc1adb66ee7"),
+    ('5; 5<4, 3<4, 2<3, 2<1, 3<1', "54ebd2645d7b59a4c641ec932ac6f2785cb7494f9aa2086f432a55821c376ef8", "6dd3aae456f9eaf8dff096b59a7f7f1ed3960ce4ae5139515f8d2a8dfa80e361"),
+    ('5; 3<1, 5<1, 1~4, 2<1, 5~4, 4<2', "6833893ee37c4e852d29030e3ae136ec3a784e3a5c0b4467d853d9eb5512bbc8", "8c3007d702e9ade4bb0d32f2eea9753667f9ddc244bfc0c5904a97f676ee1d95"),
+    ('5; 5<2, 2<1, 5<4, 1<5, 5<3, 1<4, 3<1', "4fabccac779f0dde8c6768720920421c43113dd362e02110284337307f8eb9a6", "c40340721d1e2d3a8f9640bfb206a22def5fddc03f995f66a67b026468f9619c"),
+    ('5; 5~2, 3<5, 5<4, 2~1, 4<3', "8c4e1a966f671039e21cadc67d4f61810329eba15999cc0dcf2fe4014c71bf10", "62f2ad9eb9f8137123683cedde001c2253121f0ff8e7a5be82b02bc754e3d54f"),
+    ('6; 5<3, 1<3, 4<3, 6<5, 5<4, 1<6, 2<1, 4<6', "8f1eba0541b7c4e5479316b7f0cc9d8e90d7e804a1340c3bf3ebfbb5d91811c5", "147b3a05a9fb6fe608611083c442c303bcc5e910a8277881db52a9e54ab3530e"),
+    ('6; 1~6, 1~4, 1~3, 5~2', "4f55be66040b7f693a69c8c8e0151d2e88be4dbdbd6fdb15db91d52c99987459", "35946b3e690e5a8c334b6bf6997228b79dfcc76e4c131e9d32cfd52802743750"),
+    ('6; 2<5, 6<2, 6<3, 5<4, 6<4', "65f63850307132e1b013703d2222cb5c7eea4d1f82bc7199bc00ce86e7c06875", "4f956481020a569a5a291e14ce93c50210d94a2fc64368588b7e9f05b21eff77"),
+    ('6; 6<2, 3~4', "e7bbe264a9a6ec69cb1aacc51a72edaca65f324e80bcffd4751fd0ac335c457d", "dff2095e9d0bca8a33e9af4360a6dbc72c079bd6dd7944d8463ac8ba75c08390"),
+]
+
+
+@pytest.mark.parametrize("text,digest,json_digest", TOPO_GOLDEN, ids=[t for t, _, _ in TOPO_GOLDEN])
+def test_topo_output_is_byte_identical(text, digest, json_digest, capsys):
+    from gebra.cli import main
+
+    for flags, want in (([], digest), (["--json"], json_digest)):
+        for cmd in TOPO_COMMANDS:
+            assert main(["topo", cmd, text, *flags]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# topo delta2 on the 7-chain took 6-7 s on the exhaustive route; the budget
+# includes process start.
+L7_TEXT = "7; " + ", ".join(f"{j}<{i}" for i in range(1, 8) for j in range(i + 1, 8))
+SLOW_TOPO_GOLDEN = [
+    ((), "7002eaa9b3d58cd4e0ab05a3a2c976dd906337fbba94e26e1793096b9deed5f5"),
+    (("--json",), "3717e261510801e6b2dd2dd9459520322a4a3268980c9e52a67efe40f6eb6d77"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", SLOW_TOPO_GOLDEN, ids=["text", "json"])
+def test_l7_delta2_is_byte_identical_within_1s(flags, digest):
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "gebra", "topo", "delta2", L7_TEXT, *flags],
+                          capture_output=True)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert elapsed < 1.0
+
+
 def test_topo_outputs():
     assert run_ok("topo", "ladder", "3") == "3; 2<1, 3<1, 3<2 (l3)\n"
     assert run_ok("topo", "corolla", "4") == "4; 4<1, 4<2, 4<3 (c4)\n"
@@ -594,6 +695,9 @@ def _timed_run(*argv):
     ("zeta", "a + a.b.c.d.e.f.g.h.i"),
     ("binf", "prod", "a.b.c.d.e", "a.b.c.d"),
     ("eulerian", "--table", "@fl", "a.a.a.a.a.a.a.a.a"),
+    ("shuffle", "a.b.c.d.e", "f.g.h.i"),
+    ("shuffle", "a.b.c.d.e.f.g.h.i.j.k.l", "m.n.o.p.q.r.s.t.u.v.w.x"),
+    ("qshuffle", "--table", "@qs", "x1.x2.x3.x1.x2", "x3.x1.x2.x3"),
 ], ids=" ".join)
 def test_word_past_the_bound_exits_3_within_1s(argv, table_paths):
     code, out, err, elapsed = _timed_run(*[table_paths.get(a, a) for a in argv])

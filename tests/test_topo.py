@@ -1,6 +1,9 @@
 """Finite topologies: coproducts, projector, bracket, Upsilon, lambda, e."""
 
+import functools
 import itertools
+import random
+import time
 
 import pytest
 from fractions import Fraction
@@ -9,6 +12,8 @@ from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError
 from gebra.topo import (
     Partition,
     QuasiOrder,
+    QuasiOrderClass,
+    _lex_min_rows,
     all_isoclasses,
     antipode,
     as_class,
@@ -30,8 +35,6 @@ from gebra.topo import (
     open_sets,
     parse_topology,
     product_m,
-    quotient,
-    restrict,
     render_topo,
     set_partitions,
     surjection_count,
@@ -142,6 +145,26 @@ def test_names_and_rendering():
     assert render_topo(L3) == "l3"
 
 
+def test_names_match_the_class_based_definition():
+    # the named shapes, read off the equivalence classes and up-set sizes
+    def name_oracle(tc):
+        q, n = tc.q, tc.n
+        singletons = all(len(c) == 1 for c in q.classes())
+        if q.is_equivalence():
+            return f"disc{n}" if singletons else None
+        if not singletons:
+            return None
+        pops = sorted(r.bit_count() for r in q.rows)
+        if pops == list(range(1, n + 1)):
+            return f"l{n}"
+        if n >= 3 and pops == [1] * (n - 1) + [n]:
+            return f"c{n}"
+        return None
+
+    for tc in iso_upto(5):
+        assert topo_name(tc) == name_oracle(tc), tc
+
+
 def test_constructors_validate():
     with pytest.raises(InputError):
         ladder(0)
@@ -180,11 +203,11 @@ def test_isoclass_counts():
         all_isoclasses(6)
 
 
-def test_restrict_and_quotient_wrappers():
+def test_restrict_blocks_and_quotient():
     # corolla c3: root 3 below tops 1 and 2; cut along blocks {1} | {2, 3}
     p = Partition(3, ((0,), (1, 2)))
-    assert canonicalize(restrict(C3, p)) == D1L2  # point next to a 2-chain
-    assert canonicalize(quotient(C3, p)) == CHB2  # block {2, 3} becomes a class
+    assert canonicalize(C3.q.restrict_blocks(p)) == D1L2  # point next to a 2-chain
+    assert canonicalize(C3.q.quotient(p)) == CHB2  # block {2, 3} becomes a class
 
 
 # -- the two coproducts -------------------------------------------------------
@@ -655,3 +678,145 @@ def test_closed_forms_match_eulerian():
         closed_form_e("ladder", 1)
     with pytest.raises(InputError):
         closed_form_e("wheel", 3)
+
+
+# -- the canonical search and the E_c enumeration against exhaustive oracles --
+#
+# The oracles are the routes the library used before: every one of the n!
+# relabelings, and every one of the Bell(n) set partitions filtered by the
+# two admissibility conditions on closed quasi-orders.
+
+
+def exhaustive_lex_min(q):
+    """The lex-least tuple of row integers (bits read left to right) over all
+    relabelings; a candidate is dropped at its first row above the best."""
+    n = q.n
+    succ = [[j for j in range(n) if (q.rows[i] >> j) & 1] for i in range(n)]
+    weight = [1 << (n - 1 - i) for i in range(n)]
+    best = [1 << n] * n
+    for perm in itertools.permutations(range(n)):
+        w = [0] * n
+        for i, v in enumerate(perm):
+            w[v] = weight[i]
+        for i, v in enumerate(perm):
+            val = sum(w[j] for j in succ[v])
+            if val != best[i]:
+                if val < best[i]:
+                    best = [sum(w[j] for j in succ[u]) for u in perm]
+                break
+    return tuple(best)
+
+
+def is_connected(q):
+    """The comparability graph of q is connected (q nonempty)."""
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(q.n):
+            if j not in seen and (q.leq(i, j) or q.leq(j, i)):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == q.n
+
+
+def in_ec_oracle(q, p):
+    """Each block connected in the restriction, and contracting the blocks
+    identifies nothing further."""
+    r = q.restrict_blocks(p)
+    for m in p.masks():
+        if not is_connected(r.restrict_mask(m)):
+            return False
+    return tuple(q.quotient(p).classes()) == p.blocks
+
+
+@functools.cache
+def all_set_partitions(n):
+    return tuple(set_partitions(n))
+
+
+def ec_oracle(q):
+    return {p for p in all_set_partitions(q.n) if in_ec_oracle(q, p)}
+
+
+def relabel(q, perm):
+    """Vertex i becomes perm[i]."""
+    rows = [0] * q.n
+    for i in range(q.n):
+        for j in range(q.n):
+            if (q.rows[i] >> j) & 1:
+                rows[perm[i]] |= 1 << perm[j]
+    return QuasiOrder(q.n, rows)
+
+
+def random_quasi_orders(n, count, seed):
+    """count random quasi-orders on n points, densities spread over 0..0.8;
+    a dense draw is usually not T0."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        density = 0.8 * t / (count - 1)
+        rows = [1 << i for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < density / 2:
+                    rows[i] |= 1 << j
+        out.append(QuasiOrder(n, rows))
+    return out
+
+
+def relabeled_isoclasses():
+    rng = random.Random(44)
+    out = []
+    for tc in iso_upto(5):
+        for _ in range(3):
+            perm = list(range(tc.n))
+            rng.shuffle(perm)
+            out.append(relabel(tc.q, perm))
+    return out
+
+
+def test_canonical_key_matches_exhaustive_on_relabeled_isoclasses():
+    for q in relabeled_isoclasses():
+        assert QuasiOrderClass(q).key == (q.n, exhaustive_lex_min(q)), q
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_canonical_key_matches_exhaustive_on_random_quasi_orders(n):
+    qs = random_quasi_orders(n, 300, seed=700 + n)
+    if n >= 2:  # the draws include topologies that are not T0
+        assert any(len(q.classes()) < n for q in qs)
+    for q in qs:
+        assert QuasiOrderClass(q).key == (n, exhaustive_lex_min(q)), q
+
+
+def test_ec_enumeration_matches_filter_on_relabeled_isoclasses():
+    for q in relabeled_isoclasses():
+        assert set(ec_partitions(q)) == ec_oracle(q), q
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_ec_enumeration_matches_filter_on_random_quasi_orders(n):
+    for q in random_quasi_orders(n, 300, seed=700 + n):
+        found = ec_partitions(q)
+        assert len(found) == len(set(found))
+        assert set(found) == ec_oracle(q), q
+
+
+SYMMETRIC_8 = {
+    "4 x l2": "8; 1<2, 3<4, 5<6, 7<8",
+    "2 x c4": "8; 1<2, 1<3, 1<4, 5<6, 5<7, 5<8",
+    "K_4,4": "8; " + ", ".join(f"{i}<{j}" for i in range(1, 5) for j in range(5, 9)),
+    "disc8": "8",
+    "4 x B2": "8; 1~2, 3~4, 5~6, 7~8",
+    "crown": "8; 1<5, 1<6, 2<6, 2<7, 3<7, 3<8, 4<8, 4<5",
+}
+
+
+@pytest.mark.parametrize("text", SYMMETRIC_8.values(), ids=SYMMETRIC_8.keys())
+def test_symmetric_8_point_topologies_canonicalize_within_100ms(text):
+    q = parse_topology(text)
+    t0 = time.perf_counter()
+    key = _lex_min_rows(q.rows, q.n)
+    assert time.perf_counter() - t0 < 0.1
+    perm = [3, 6, 0, 7, 2, 5, 1, 4]
+    assert _lex_min_rows(relabel(q, perm).rows, 8) == key
