@@ -36,6 +36,7 @@ from .exactlin import InputError, LinComb, lin_sum
 from .words import (
     Alphabet,
     Word,
+    as_letter_comb,
     as_tensor,
     concat_expand,
     parse_tensor,
@@ -84,13 +85,9 @@ class BInftyStructure:
             for (w, w2), val in (table or {}).items():
                 if w.is_empty() or w2.is_empty():
                     raise InputError("bracket tables never store unit-word pairs")
-                if isinstance(val, Word):
-                    val = LinComb.single(val)
-                elif not isinstance(val, LinComb):
-                    val = LinComb(val) if val else LinComb.zero()
-                for u in val.terms:
-                    if len(u) != 1:
-                        raise InputError(f"bracket value for ({w}, {w2}) is not a letter")
+                val = as_letter_comb(
+                    val, lambda u: f"bracket value for ({w}, {w2}) is not a letter"
+                )
                 top = max(top, len(w), len(w2))
                 if val:
                     clean[(w, w2)] = val

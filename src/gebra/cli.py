@@ -216,9 +216,8 @@ def cmd_desc(args):
             "dynkin_quasi_idempotent": dn.internal_product(dn) == dn.scale(n),
         }
         if n <= descent.LIE_CHECK_BOUND:
-            pivots = descent.lie_pivots(n)
-            report["solomon_lie_valued"] = descent.lie_projection_check(sn.expand(), pivots)
-            report["dynkin_lie_valued"] = descent.lie_projection_check(dn.expand(), pivots)
+            report["solomon_lie_valued"] = descent.lie_projection_check(sn.expand())
+            report["dynkin_lie_valued"] = descent.lie_projection_check(dn.expand())
         _emit_report(args, report)
 
 

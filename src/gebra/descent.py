@@ -8,22 +8,28 @@ acts on each part, and concatenates; the span of the descent sums De is
 closed under it.
 
 The descent span has dimension 2^(n-1), one basis element per composition
-of n, and the work runs there: DescElem holds Solomon's idempotent and the
-Dynkin element on the equal-descent-set basis and multiplies on the subset
-basis by Solomon's Mackey formula.  The symmetric group itself appears only
-when an element is printed (DescElem.expand, one pass over S_n) and in the
-n! reference routes the tests compare against: de_equal, de_subset,
-internal_product and convolution on GroupAlgElem, solomon_log_oracle and
-lie_projection_check.  Degrees stop at n = 7 (DEGREE_BOUND).
+of n, and the work runs there.  A DescElem stores one basis, the
+equal-descent-set basis, as a LinComb keyed by compositions; Solomon's
+idempotent and the Dynkin element are built on it.  The subset basis
+differs from it by a triangular sum over coarsenings and is reached only
+where a formula needs it, through to_subset/from_subset: the internal
+product by Solomon's Mackey formula and the coproduct.  The symmetric
+group itself appears only when an element is printed (DescElem.expand, one
+pass over S_n) and in the n! reference routes the tests compare against:
+de_equal, de_subset, internal_product and convolution on GroupAlgElem,
+solomon_log_oracle and lie_projection_check.  Degrees stop at n = 7
+(DEGREE_BOUND).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations as _permutations
+from itertools import accumulate, combinations, permutations as _permutations
 from math import comb
 
-from .exactlin import Fraction, InputError, LinComb, SizeBoundError, format_terms, parse_scalar
+from .exactlin import (
+    Fraction, InputError, LinComb, SizeBoundError, format_terms, lin_sum, parse_scalar,
+)
 from .words import Word, compositions
 
 DEGREE_BOUND = 7
@@ -120,10 +126,45 @@ def permutations_of(n):
         yield Permutation(images)
 
 
-class GroupAlgElem:
-    """An element of the group algebra of one symmetric group."""
+class _DegreeElem:
+    """A LinComb of terms in one degree n; the linear operations check the degree."""
 
     __slots__ = ("n", "terms")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def _same_degree(self, other):
+        if self.n != other.n:
+            raise InputError("degree mismatch")
+
+    def __add__(self, other):
+        self._same_degree(other)
+        return type(self)(self.n, self.terms + other.terms)
+
+    def __sub__(self, other):
+        self._same_degree(other)
+        return type(self)(self.n, self.terms - other.terms)
+
+    def __neg__(self):
+        return type(self)(self.n, -self.terms)
+
+    def scale(self, c):
+        return type(self)(self.n, self.terms.scale(c))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n}, {self.terms.terms!r})"
+
+
+class GroupAlgElem(_DegreeElem):
+    """An element of the group algebra of one symmetric group."""
+
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
         _check_degree(n)
@@ -141,39 +182,8 @@ class GroupAlgElem:
     def single(cls, p, coeff=1):
         return cls(p.n, LinComb.single(p, coeff))
 
-    @classmethod
-    def unit(cls):
-        """The degree-0 unit of the convolution algebra."""
-        return cls(0, LinComb.single(Permutation(())))
-
     def coeff(self, p):
         return self.terms.coeff(p)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgElem):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def _same_degree(self, other):
-        if self.n != other.n:
-            raise InputError("degree mismatch")
-
-    def __add__(self, other):
-        self._same_degree(other)
-        return GroupAlgElem(self.n, self.terms + other.terms)
-
-    def __sub__(self, other):
-        self._same_degree(other)
-        return GroupAlgElem(self.n, self.terms - other.terms)
-
-    def __neg__(self):
-        return GroupAlgElem(self.n, -self.terms)
-
-    def scale(self, c):
-        return GroupAlgElem(self.n, self.terms.scale(c))
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -184,9 +194,6 @@ class GroupAlgElem:
 
     def __str__(self):
         return format_terms(self.terms)
-
-    def __repr__(self):
-        return f"GroupAlgElem({self.n}, {self.terms.terms!r})"
 
 
 def parse_group_alg(text):
@@ -270,7 +277,7 @@ def dynkin_desc(n):
     _check_degree(n)
     if n < 1:
         raise InputError("dynkin needs n >= 1")
-    return DescElem(n, "equal", {(1,) * i + (n - i,): (-1) ** i for i in range(n)})
+    return DescElem(n, {(1,) * i + (n - i,): (-1) ** i for i in range(n)})
 
 
 def solomon_desc(n):
@@ -285,11 +292,11 @@ def solomon_desc(n):
     coeffs = {
         c: Fraction((-1) ** (len(c) - 1), n * comb(n - 1, len(c) - 1)) for c in compositions(n)
     }
-    return DescElem(n, "equal", coeffs)
+    return DescElem(n, coeffs)
 
 
 def solomon_log_series(n):
-    """Logarithm of the identity in the convolution algebra, on the subset basis.
+    """Logarithm of the identity in the convolution algebra, given on the subset basis.
 
     The coefficient of a composition of length k is (-1)^(k-1)/k; this is
     the series solomon_log_oracle sums in the group algebra.
@@ -298,7 +305,7 @@ def solomon_log_series(n):
     if n < 1:
         raise InputError("needs n >= 1")
     coeffs = {c: Fraction((-1) ** (len(c) - 1), len(c)) for c in compositions(n)}
-    return DescElem(n, "subset", coeffs)
+    return DescElem.from_subset(n, coeffs)
 
 
 def dynkin(n):
@@ -321,21 +328,17 @@ def solomon_log_oracle(n):
     _check_degree(n)
     if n < 1:
         raise InputError("needs n >= 1")
-    out = GroupAlgElem(n)
-    for c in compositions(n):
-        k = len(c)
-        out = out + de_subset(n, subset_from_composition(c)).scale(Fraction((-1) ** (k - 1), k))
-    return out
+    return GroupAlgElem(n, lin_sum(
+        (Fraction((-1) ** (len(c) - 1), len(c)), de_subset(n, subset_from_composition(c)).terms)
+        for c in compositions(n)
+    ))
 
 
 def act_on_tensor(g, x):
     """Apply a group algebra element to words, all of length n, linearly."""
     if isinstance(x, Word):
         x = LinComb.single(x)
-    out = LinComb.zero()
-    for p, c in g.terms.items():
-        out = out + x.scale(c).map_keys(p.act)
-    return out
+    return lin_sum((c, x.map_keys(p.act)) for p, c in g.terms.items())
 
 
 def convolution(g, h):
@@ -379,101 +382,41 @@ def internal_product(g, h):
     return GroupAlgElem(g.n, terms)
 
 
-class DescElem:
+class DescElem(_DegreeElem):
     """An element of the descent span of one symmetric group.
 
-    Stored on one of two bases indexed by compositions of n: "equal"
-    (permutations with exactly those descents) or "subset" (descents
-    contained in those positions).  The two are related by inclusion and
-    exclusion over coarsenings.
+    terms is a LinComb on the equal-descent-set basis, keyed by compositions
+    of n: the composition c stands for the permutations whose descent set is
+    exactly subset_from_composition(c) minus {n}.  The subset basis (descents
+    contained in those positions) is reached through to_subset/from_subset.
     """
 
-    __slots__ = ("n", "basis", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, basis, coeffs=None):
+    def __init__(self, n, terms):
         _check_degree(n)
-        if basis not in ("equal", "subset"):
-            raise InputError(f"unknown basis {basis!r}")
-        self.n = n
-        self.basis = basis
-        clean = {}
-        for comp, c in (coeffs or {}).items():
-            comp = tuple(int(i) for i in comp)
+        if not isinstance(terms, LinComb):
+            terms = LinComb(terms)
+        for comp in terms.terms:
             if sum(comp) != n or any(i < 1 for i in comp):
                 raise InputError(f"{comp} is not a composition of {n}")
-            c = Fraction(c)
-            if c:
-                clean[comp] = clean.get(comp, Fraction(0)) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
+        self.n = n
+        self.terms = terms
 
     @classmethod
-    def basis_elem(cls, n, comp, basis="equal"):
-        return cls(n, basis, {tuple(comp): Fraction(1)})
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def _same(self, other):
-        if self.n != other.n:
-            raise InputError("degree mismatch")
-
-    def _binop(self, other, sign):
-        self._same(other)
-        a = self.to_basis(self.basis)
-        b = other.to_basis(self.basis)
-        coeffs = dict(a.coeffs)
-        for comp, c in b.coeffs.items():
-            coeffs[comp] = coeffs.get(comp, Fraction(0)) + sign * c
-        return DescElem(self.n, self.basis, coeffs)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return DescElem(self.n, self.basis, {k: v * c for k, v in self.coeffs.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def to_basis(self, basis):
-        if basis == self.basis:
-            return self
-        if basis == "equal":
-            return self.to_equal()
-        if basis == "subset":
-            return self.to_subset()
-        raise InputError(f"unknown basis {basis!r}")
+    def from_subset(cls, n, coeffs):
+        """The element with these coefficients on the subset basis."""
+        return cls(n, _coarsening_sum(coeffs, signed=False))
 
     def to_subset(self):
-        """Equal basis to subset basis: alternating sum over coarsenings."""
-        if self.basis == "subset":
-            return self
-        coeffs = {}
-        for comp, c in self.coeffs.items():
-            for coarse in _coarsenings(comp):
-                sign = (-1) ** (len(comp) - len(coarse))
-                coeffs[coarse] = coeffs.get(coarse, Fraction(0)) + sign * c
-        return DescElem(self.n, "subset", coeffs)
-
-    def to_equal(self):
-        """Subset basis to equal basis: plain sum over coarsenings."""
-        if self.basis == "equal":
-            return self
-        coeffs = {}
-        for comp, c in self.coeffs.items():
-            for coarse in _coarsenings(comp):
-                coeffs[coarse] = coeffs.get(coarse, Fraction(0)) + c
-        return DescElem(self.n, "equal", coeffs)
+        """The coefficients on the subset basis, as a LinComb."""
+        return _coarsening_sum(self.terms, signed=True)
 
     def expand(self):
         """The underlying group algebra element, from one pass over S_n."""
         n = self.n
         by_descents = {
-            subset_from_composition(comp) - {n}: c for comp, c in self.to_equal().coeffs.items()
+            subset_from_composition(comp) - {n}: c for comp, c in self.terms.terms.items()
         }
         terms = {}
         for p in permutations_of(n):
@@ -488,33 +431,13 @@ class DescElem:
         De_p . De_q is the sum of De_r(M) over the matrices M of non-negative
         integers with row sums p and column sums q, where r(M) reads the
         nonzero entries of M row by row.  This agrees with internal_product
-        on the expansions.  The matrices are filled one row at a time,
-        memoized within the call on (rows still to fill, column sums still
-        open); a column whose sum is used up holds only zeros below, so it
-        is dropped from the key.
+        on the expansions.
         """
-        self._same(other)
-        fillings = cache(lambda total, cols: tuple(_row_fillings(total, cols)))
-
-        @cache
-        def readings(rows, cols):
-            if not rows:
-                return {(): 1}
-            out = {}
-            for piece, left in fillings(rows[0], cols):
-                for reading, m in readings(rows[1:], left).items():
-                    r = piece + reading
-                    out[r] = out.get(r, 0) + m
-            return out
-
-        right = other.to_subset().coeffs.items()
-        coeffs = {}
-        for p, c in self.to_subset().coeffs.items():
-            for q, d in right:
-                cd = c * d
-                for r, m in readings(p, q).items():
-                    coeffs[r] = coeffs.get(r, 0) + m * cd
-        return DescElem(self.n, "subset", coeffs)
+        self._same_degree(other)
+        right = other.to_subset().terms.items()
+        left = self.to_subset().terms.items()
+        products = lin_sum((c * d, _mackey_readings(p, q)) for p, c in left for q, d in right)
+        return DescElem.from_subset(self.n, products)
 
     @classmethod
     def from_group_alg(cls, g):
@@ -533,28 +456,28 @@ class DescElem:
             val = vals.pop()
             if val:
                 coeffs[composition_from_subset(g.n, desc | {g.n})] = val
-        return cls(g.n, "equal", coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, DescElem):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        return self.to_equal().coeffs == other.to_equal().coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        tag = "De=" if self.basis == "equal" else "De"
-        lc = LinComb({format_composition(comp): c for comp, c in self.coeffs.items()})
-        return format_terms(lc, render=lambda comp: f"{tag}{comp}")
-
-    def __repr__(self):
-        return f"DescElem({self.n}, {self.basis!r}, {self.coeffs!r})"
+        return cls(g.n, coeffs)
 
 
-def format_composition(comp):
-    return "(" + ",".join(str(i) for i in comp) + ")"
+def _coarsening_sum(coeffs, signed):
+    """Move each coefficient onto every coarsening of its composition.
+
+    A coarsening merges adjacent parts; the grouping of the k parts is a
+    composition of k.  Signed by (-1)^(parts merged away) this takes the
+    equal basis to the subset basis; unsigned, the subset basis back.
+    """
+    terms = coeffs.terms if isinstance(coeffs, LinComb) else coeffs
+    return lin_sum((c, _merges(comp, signed)) for comp, c in terms.items())
+
+
+@cache
+def _merges(comp, signed):
+    out = {}
+    for grouping in compositions(len(comp)):
+        bounds = tuple(accumulate(grouping, initial=0))
+        coarse = tuple(sum(comp[a:b]) for a, b in zip(bounds, bounds[1:]))
+        out[coarse] = (-1) ** (len(comp) - len(grouping)) if signed else 1
+    return out
 
 
 def parse_composition(text):
@@ -570,33 +493,52 @@ def parse_composition(text):
     return comp
 
 
+@cache
+def _mackey_readings(rows, cols):
+    """r(M) -> the number of matrices M with these row and column sums.
+
+    Filled one row at a time; a column whose sum is used up holds only
+    zeros below, so it is dropped from the key.
+    """
+    if not rows:
+        return {(): 1}
+    out = {}
+    for piece, left in _row_fillings(rows[0], cols):
+        for reading, m in _mackey_readings(rows[1:], left).items():
+            r = piece + reading
+            out[r] = out.get(r, 0) + m
+    return out
+
+
+@cache
 def _row_fillings(total, cols):
     """Ways to spread total over the columns, entry j at most cols[j].
 
-    Yields (the nonzero entries in column order, the nonzero column sums left).
+    Each is (the nonzero entries in column order, the nonzero column sums left).
     """
     if not cols:
-        if total == 0:
-            yield (), ()
-        return
+        return (((), ()),) if total == 0 else ()
     head, tail = cols[0], cols[1:]
-    for x in range(max(0, total - sum(tail)), min(head, total) + 1):
-        for piece, left in _row_fillings(total - x, tail):
-            if x:
-                piece = (x,) + piece
-            yield piece, ((head - x,) + left if x < head else left)
+    return tuple(
+        ((x,) + piece if x else piece, (head - x,) + left if x < head else left)
+        for x in range(max(0, total - sum(tail)), min(head, total) + 1)
+        for piece, left in _row_fillings(total - x, tail)
+    )
 
 
-def _coarsenings(comp):
-    """All compositions obtained by merging adjacent blocks of comp."""
-    k = len(comp)
-    if k == 0:
-        yield ()
-        return
-    for keep in range(k):
-        for cuts in combinations(range(1, k), keep):
-            bounds = (0,) + cuts + (k,)
-            yield tuple(sum(comp[a:b]) for a, b in zip(bounds, bounds[1:]))
+@cache
+def _splits(comp):
+    """Each part splits as a + b, zero parts dropped: (left, right) -> multiplicity."""
+    pieces = {((), ()): 1}
+    for part in comp:
+        step = {}
+        for (left, right), m in pieces.items():
+            for a in range(part + 1):
+                b = part - a
+                key = (left + (a,) if a else left, right + (b,) if b else right)
+                step[key] = step.get(key, 0) + m
+        pieces = step
+    return pieces
 
 
 def desc_coproduct(d):
@@ -606,27 +548,21 @@ def desc_coproduct(d):
     with a + b = ij, zero parts being dropped.  Returns a linear
     combination keyed by pairs (left composition, right composition).
     """
-    out = {}
-    for comp, c in d.to_subset().coeffs.items():
-        pieces = {((), ()): 1}
-        for part in comp:
-            step = {}
-            for (left, right), m in pieces.items():
-                for a in range(part + 1):
-                    b = part - a
-                    key = (left + (a,) if a else left, right + (b,) if b else right)
-                    step[key] = step.get(key, 0) + m
-            pieces = step
-        for key, m in pieces.items():
-            out[key] = out.get(key, 0) + m * c
-    return LinComb(out)
+    return lin_sum((c, _splits(comp)) for comp, c in d.to_subset().terms.items())
 
 
+@cache
 def lie_pivots(n):
-    """Row-reduced spanning set for the multilinear Lie words of degree n."""
+    """Row-reduced basis of the multilinear Lie words of degree n.
+
+    The left-normed brackets [..[x1, x_tau(2)], .., x_tau(n)] that start
+    with x1 are a basis of that span, (n-1)! of them (Reutenauer, Free Lie
+    Algebras, 1993), so the other n! - (n-1)! brackets are not reduced.
+    """
     _check_lie_degree(n)
     rows = []
-    for tau in _permutations(range(1, n + 1)):
+    for rest in _permutations(range(2, n + 1)):
+        tau = (1,) + rest
         elt = {(tau[0],): Fraction(1)}
         for a in tau[1:]:
             new = {}
@@ -668,20 +604,17 @@ def _check_lie_degree(n):
         raise SizeBoundError(f"size bound: the Lie membership test stops at n = {LIE_CHECK_BOUND}")
 
 
-def lie_projection_check(g, pivots=None):
+def lie_projection_check(g):
     """Does g send the multilinear word x1...xn into the free Lie algebra?
 
     The image is the sum of c_sigma x_sigma(1)..x_sigma(n); membership is
-    tested against a row reduction of the left-bracketed spanning words.
-    Pass pivots = lie_pivots(g.n) to test several elements of one degree
-    against one reduction.
+    tested against a row reduction of the left-bracketed spanning words,
+    made once per degree.
     """
     n = g.n
     _check_lie_degree(n)
     if n == 0:
         return not g
-    if pivots is None:
-        pivots = lie_pivots(n)
     vec = {p.images: c for p, c in g.terms.items() if c}
-    _, lead = _row_reduce(vec, pivots)
+    _, lead = _row_reduce(vec, lie_pivots(n))
     return lead is None

@@ -36,7 +36,6 @@ from .exactlin import (
     Poly,
     SizeBoundError,
     ZERO,
-    format_terms,
     lin_sum,
 )
 from .words import compositions
@@ -485,10 +484,6 @@ def render_basis(key):
     return render_topo(key)
 
 
-def format_topo_elem(x):
-    return format_terms(as_topo_elem(x), render=render_basis)
-
-
 def open_sets(q):
     """The open sets as sorted vertex tuples (spec-facing form of the masks)."""
     out = []
@@ -880,35 +875,42 @@ def lambda_char(x, method="upsilon_integral"):
     delta_series: log-of-counit series, alternating sums of discrete counts
     over the iterated reduced open-set coproduct.
     """
+    if method == "upsilon_integral":
+        route = _lambda_class
+    elif method == "delta_series":
+        route = _lambda_delta_series
+    else:
+        raise InputError(f"unknown method {method!r}")
     x = as_topo_elem(x)
     total = ZERO
     for tc, c in x.items():
-        total += c * _lambda_class(tc, method)
+        total += c * route(tc)
     return total
 
 
-def _lambda_class(tc, method):
+def _lambda_class(tc):
     if tc.n == 0:
         return ZERO
-    if method == "upsilon_integral":
-        return _upsilon_rec(tc).integrate_unit_interval()
-    if method == "delta_series":
-        q = tc.q
-        total = ZERO
-        for k in range(1, q.n + 1):
-            count = 0
-            for tup in delta_bar_tuples(q, k):
-                if all(f.is_equivalence() for f in tup):
-                    count += 1
-            if count:
-                total += Fraction((-1) ** (k - 1), k) * count
-        return total
-    raise InputError(f"unknown method {method!r}")
+    return _upsilon_rec(tc).integrate_unit_interval()
+
+
+def _lambda_delta_series(tc):
+    q = tc.q
+    total = ZERO
+    for k in range(1, q.n + 1):
+        count = 0
+        for tup in delta_bar_tuples(q, k):
+            if all(f.is_equivalence() for f in tup):
+                count += 1
+        if count:
+            total += Fraction((-1) ** (k - 1), k) * count
+    return total
 
 
 # -- Eulerian idempotent -----------------------------------------------------
 
 _E_MEMO = {}
+_E_DIRECT_MEMO = {}
 
 
 def eulerian_e(t, method="via_delta"):
@@ -918,32 +920,42 @@ def eulerian_e(t, method="via_delta"):
     via_delta: (lambda (x) Id) applied to the contraction coproduct.
     direct: the log-of-identity series for the open-set coproduct.
     """
+    if method == "via_delta":
+        route = _e_class
+    elif method == "direct":
+        route = _e_direct
+    else:
+        raise InputError(f"unknown method {method!r}")
     x = as_topo_elem(t)
-    return lin_sum((c, _e_class(tc, method)) for tc, c in x.terms.items())
-
-
-def _e_class(tc, method):
-    if tc.n > EULER_BOUND:
+    if any(tc.n > EULER_BOUND for tc in x.terms):
         raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
-    hit = _E_MEMO.get((tc.key, method))
+    return lin_sum((c, route(tc)) for tc, c in x.terms.items())
+
+
+def _e_class(tc):
+    hit = _E_MEMO.get(tc.key)
+    if hit is not None:
+        return hit
+    out = lin_sum(
+        (lam, {canonicalize(restr): ONE})
+        for quot, restr in _ec_splits(tc.q)
+        if (lam := _lambda_class(canonicalize(quot)))
+    )
+    _E_MEMO[tc.key] = out
+    return out
+
+
+def _e_direct(tc):
+    hit = _E_DIRECT_MEMO.get(tc.key)
     if hit is not None:
         return hit
     q = tc.q
-    if method == "via_delta":
-        out = lin_sum(
-            (lam, {canonicalize(restr): ONE})
-            for quot, restr in _ec_splits(q)
-            if (lam := _lambda_class(canonicalize(quot), "upsilon_integral"))
-        )
-    elif method == "direct":
-        out = lin_sum(
-            (Fraction((-1) ** (k - 1), k), {canonicalize(_fold(QuasiOrder.disjoint_union, tup)): ONE})
-            for k in range(1, q.n + 1)
-            for tup in delta_bar_tuples(q, k)
-        )
-    else:
-        raise InputError(f"unknown method {method!r}")
-    _E_MEMO[(tc.key, method)] = out
+    out = lin_sum(
+        (Fraction((-1) ** (k - 1), k), {canonicalize(_fold(QuasiOrder.disjoint_union, tup)): ONE})
+        for k in range(1, q.n + 1)
+        for tup in delta_bar_tuples(q, k)
+    )
+    _E_DIRECT_MEMO[tc.key] = out
     return out
 
 
@@ -1014,7 +1026,7 @@ def closed_form_e(kind, n):
         return lin_sum(
             (coeff, {canonicalize(QuasiOrder(i).disjoint_union(_corolla_or_point(n - i).q)): ONE})
             for i in range(n)
-            if (coeff := comb(n - 1, i) * _lambda_class(_corolla_or_point(i + 1), "upsilon_integral"))
+            if (coeff := comb(n - 1, i) * _lambda_class(_corolla_or_point(i + 1)))
         )
     raise InputError(f"unknown kind {kind!r}")
 

@@ -314,6 +314,21 @@ def coradical_degree(x):
     return max(len(w) for w in x.terms)
 
 
+def as_letter_comb(val, complaint):
+    """A table value (a Word, a dict or a LinComb) as a LinComb of letters.
+
+    A term that is not a single letter u raises InputError(complaint(u)).
+    """
+    if isinstance(val, Word):
+        val = LinComb.single(val)
+    elif not isinstance(val, LinComb):
+        val = LinComb(val)
+    for u in val.terms:
+        if len(u) != 1:
+            raise InputError(complaint(u))
+    return val
+
+
 class LetterMap:
     """Finite presentation of a linear map from words to letters.
 
@@ -328,20 +343,12 @@ class LetterMap:
     def __init__(self, alphabet, table=None, identity_on_letters=False):
         self.alphabet = alphabet
         self.identity_on_letters = identity_on_letters
-        clean = {}
-        if table:
-            for w, val in table.items():
-                if isinstance(val, Word):
-                    val = LinComb.single(val)
-                elif not isinstance(val, LinComb):
-                    val = LinComb(val) if val else LinComb.zero()
-                for u in val.terms:
-                    if len(u) != 1:
-                        raise InputError(
-                            f"letter map value for {w} contains the non-letter {u}"
-                        )
-                clean[w] = val
-        self.table = clean
+        self.table = {
+            w: as_letter_comb(
+                val, lambda u: f"letter map value for {w} contains the non-letter {u}"
+            )
+            for w, val in (table or {}).items()
+        }
 
     def __call__(self, w):
         try:

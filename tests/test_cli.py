@@ -1,12 +1,17 @@
 """End-to-end command line checks via subprocess."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from gebra.cli import main
 
 QS_TABLE = """
 mode: qshuffle
@@ -146,6 +151,37 @@ def test_desc_check_report():
     assert any(line.startswith("dynkin_lie_valued") for line in lines)
 
 
+# The characters of the group algebra grammar: permutations, coefficients
+# p/q, "*" and "+", plus "-" and "." for the malformed cases.
+GROUP_ALG_CHARS = "0123456789 ,*/+-."
+
+DESC_ARGV = st.one_of(
+    st.tuples(
+        st.just("conv"),
+        st.text(GROUP_ALG_CHARS, max_size=24),
+        st.text(GROUP_ALG_CHARS, max_size=24),
+    ),
+    st.tuples(st.sampled_from(("dynkin", "solomon", "check")), st.integers(-3, 9).map(str)),
+)
+
+
+def main_exit_code(argv):
+    """cli.main in process, output discarded; argparse's own exit counts as a code."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(DESC_ARGV)
+def test_desc_parsers_end_in_an_exit_code_promptly(argv):
+    t0 = time.monotonic()
+    assert main_exit_code(["desc", *argv]) in (0, 2, 3)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_desc_check_7_passes_within_10s():
     t0 = time.monotonic()
     out = run_ok("desc", "check", "7")
@@ -195,6 +231,10 @@ DESC_GOLDEN = [
     ("desc check 4 --json", "09bbb4d5b2d5762de0a208f400f10b9ac5d551f8cdcc6ebca983c388b6985679"),
     ("desc check 5", "e63e47ac8767a8ceb8dd5371859ae189d08b082ad24ca3b8fa1e2b59e7f306f1"),
     ("desc check 5 --json", "09bbb4d5b2d5762de0a208f400f10b9ac5d551f8cdcc6ebca983c388b6985679"),
+    ("desc check 6", "e63e47ac8767a8ceb8dd5371859ae189d08b082ad24ca3b8fa1e2b59e7f306f1"),
+    ("desc check 6 --json", "09bbb4d5b2d5762de0a208f400f10b9ac5d551f8cdcc6ebca983c388b6985679"),
+    ("desc check 7", "e2d64f5e0cb4e64b3c3be738dd3fa2e7e690c86e6f38ce1d873ab0b76b7a5b5f"),
+    ("desc check 7 --json", "8047abf89aa20b414ccbaf5f27ec37c3e7ec5fca455f54a041b85bdb1ab5a4c1"),
 ]
 
 
