@@ -18,13 +18,17 @@ pi((x1 down ... ) (y1 down ...)) on them, the polynomial invariant Upsilon,
 its integral lambda over [-1, 0], and the Eulerian idempotent
 e = (lambda (x) Id) o delta.
 
-Memo tables (canonical forms, Upsilon, pi, antipode) are plain dicts:
-reads are concurrency-safe and insertions idempotent, so racing threads can
-only repeat work, never corrupt a result.
+Every operation depends only on the isoclass of its input, so each one is
+computed once per class: the routes below are memoized on the class key in
+module-level `*_MEMO` dicts (canonical forms are memoized on the labeled
+input as well).  Reads are concurrency-safe and insertions idempotent, so
+racing threads can only repeat work, never corrupt a result.  Memoized
+results are shared objects: nothing may mutate them.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations, product as _product
 from math import comb
 
@@ -268,6 +272,22 @@ def parse_topology(text):
 _CANON_MEMO = {}
 
 
+def _per_class(memo):
+    """Memoize a route f(tc) in the table memo, keyed by the isoclass."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def route(tc):
+            hit = memo.get(tc.key)
+            if hit is None:
+                hit = memo[tc.key] = fn(tc)
+            return hit
+
+        return route
+
+    return wrap
+
+
 class QuasiOrderClass:
     """A topology up to homeomorphism: the lex-least relation matrix.
 
@@ -470,6 +490,10 @@ def topo_name(tc):
     return None
 
 
+_RENDER_MEMO = {}
+
+
+@_per_class(_RENDER_MEMO)
 def render_topo(tc):
     """Short name when there is one, else the grammar text in brackets
     (the text contains commas, so it is fenced off inside term lists)."""
@@ -671,9 +695,17 @@ def ec_partitions(q):
 # -- the two coproducts ------------------------------------------------------
 
 
+_OPEN_SPLIT_MEMO = {}
+_EC_SPLIT_MEMO = {}
+
+
 def coproduct_Delta(t):
     """Split along open sets: sum of (complement part, open part)."""
-    tc = as_class(t)
+    return _Delta_class(as_class(t))
+
+
+@_per_class(_OPEN_SPLIT_MEMO)
+def _Delta_class(tc):
     q = tc.q
     full = q.full_mask
     return lin_sum(
@@ -705,10 +737,14 @@ def delta_bar_tuples(q, k):
 def coproduct_delta(t):
     """Contraction-restriction: sum of (quotient, block restriction) over E_c."""
     tc = as_class(t)
-    q = tc.q
-    _check_delta_bound(q)
+    _check_delta_bound(tc.q)
+    return _delta_class(tc)
+
+
+@_per_class(_EC_SPLIT_MEMO)
+def _delta_class(tc):
     return lin_sum(
-        (ONE, {(canonicalize(quot), canonicalize(restr)): ONE}) for quot, restr in _ec_splits(q)
+        (ONE, {(canonicalize(quot), canonicalize(restr)): ONE}) for quot, restr in _ec_splits(tc.q)
     )
 
 
@@ -747,10 +783,13 @@ _PI_MEMO = {}
 
 
 def inf_pi(x):
-    """Projector onto the primitives of the open-set coproduct.
+    """Projector onto the primitives of the open-set coproduct; kills
+    stacked products, fixes primitives.
 
-    Alternating sum over k of the (k-1)-fold stacking of the (k-1)-fold
-    reduced coproduct; kills stacked products, fixes primitives.
+    pi is the alternating sum over k of the (k-1)-fold stacking of the
+    (k-1)-fold reduced coproduct, which on the augmentation ideal is -S for
+    the antipode S (Takeuchi's formula); each class's image is read off the
+    memoized antipode recursion, not summed over chains of open sets.
     """
     x = as_topo_elem(x)
     if any(tc.n == 0 for tc in x.terms):
@@ -758,18 +797,9 @@ def inf_pi(x):
     return lin_sum((c, _pi_class(tc)) for tc, c in x.terms.items())
 
 
+@_per_class(_PI_MEMO)
 def _pi_class(tc):
-    hit = _PI_MEMO.get(tc.key)
-    if hit is not None:
-        return hit
-    q = tc.q
-    total = lin_sum(
-        (ONE if k % 2 else -ONE, {canonicalize(_fold(QuasiOrder.down, tup)): ONE})
-        for k in range(1, q.n + 1)
-        for tup in delta_bar_tuples(q, k)
-    )
-    _PI_MEMO[tc.key] = total
-    return total
+    return -_antipode_class(tc)
 
 
 def _fold(op, factors):
@@ -815,10 +845,8 @@ def upsilon(t, method="recursive"):
     raise InputError(f"unknown method {method!r}")
 
 
+@_per_class(_UPSILON_MEMO)
 def _upsilon_rec(tc):
-    hit = _UPSILON_MEMO.get(tc.key)
-    if hit is not None:
-        return hit
     q = tc.q
     cls_masks = [sum(1 << v for v in c) for c in q.classes()]
     minimal = []
@@ -840,7 +868,6 @@ def _upsilon_rec(tc):
                 out = out + Poly.const(1)
             else:
                 out = out + x * _upsilon_rec(canonicalize(q.restrict_mask(rest)))
-    _UPSILON_MEMO[tc.key] = out
     return out
 
 
@@ -911,6 +938,12 @@ def _lambda_delta_series(tc):
 
 _E_MEMO = {}
 _E_DIRECT_MEMO = {}
+_PIEUL_MEMO = {}
+
+
+def _check_euler_bound(x):
+    if any(tc.n > EULER_BOUND for tc in x.terms):
+        raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
 
 
 def eulerian_e(t, method="via_delta"):
@@ -927,44 +960,39 @@ def eulerian_e(t, method="via_delta"):
     else:
         raise InputError(f"unknown method {method!r}")
     x = as_topo_elem(t)
-    if any(tc.n > EULER_BOUND for tc in x.terms):
-        raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
+    _check_euler_bound(x)
     return lin_sum((c, route(tc)) for tc, c in x.terms.items())
 
 
+@_per_class(_E_MEMO)
 def _e_class(tc):
-    hit = _E_MEMO.get(tc.key)
-    if hit is not None:
-        return hit
-    out = lin_sum(
+    return lin_sum(
         (lam, {canonicalize(restr): ONE})
         for quot, restr in _ec_splits(tc.q)
         if (lam := _lambda_class(canonicalize(quot)))
     )
-    _E_MEMO[tc.key] = out
-    return out
 
 
+@_per_class(_E_DIRECT_MEMO)
 def _e_direct(tc):
-    hit = _E_DIRECT_MEMO.get(tc.key)
-    if hit is not None:
-        return hit
     q = tc.q
-    out = lin_sum(
+    return lin_sum(
         (Fraction((-1) ** (k - 1), k), {canonicalize(_fold(QuasiOrder.disjoint_union, tup)): ONE})
         for k in range(1, q.n + 1)
         for tup in delta_bar_tuples(q, k)
     )
-    _E_DIRECT_MEMO[tc.key] = out
-    return out
 
 
 def canonical_pi_idem(t):
     """pi composed with the Eulerian idempotent; lands in the primitives."""
-    e = eulerian_e(t)
-    if not e:
-        return e
-    return inf_pi(e)
+    x = as_topo_elem(t)
+    _check_euler_bound(x)
+    return lin_sum((c, _pieul_class(tc)) for tc, c in x.terms.items())
+
+
+@_per_class(_PIEUL_MEMO)
+def _pieul_class(tc):
+    return inf_pi(_e_class(tc))
 
 
 # -- antipode of (down, Delta) -----------------------------------------------
@@ -976,19 +1004,18 @@ def antipode(t):
     """Convolution inverse of the identity for the stacking product.
 
     S(1) = 1 and S(x) = -x - sum S(x') down x'' over the reduced coproduct.
-    On the augmentation ideal -S agrees with pi (not at the unit).
+    On the augmentation ideal -S is pi (not at the unit); inf_pi reads it
+    from here.
     """
     x = as_topo_elem(t)
     return lin_sum((c, _antipode_class(tc)) for tc, c in x.terms.items())
 
 
+@_per_class(_ANTIPODE_MEMO)
 def _antipode_class(tc):
     if tc.n == 0:
         return LinComb.single(tc)
-    hit = _ANTIPODE_MEMO.get(tc.key)
-    if hit is not None:
-        return hit
-    out = lin_sum(
+    return lin_sum(
         [(-ONE, {tc: ONE})]
         + [
             (-ca, {canonicalize(a.q.down(right)): ONE})
@@ -996,8 +1023,6 @@ def _antipode_class(tc):
             for a, ca in _antipode_class(canonicalize(left)).terms.items()
         ]
     )
-    _ANTIPODE_MEMO[tc.key] = out
-    return out
 
 
 # -- named families and closed forms -----------------------------------------

@@ -8,7 +8,8 @@ import time
 import pytest
 from fractions import Fraction
 
-from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError
+import gebra.topo as topo
+from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError, format_terms, lin_sum
 from gebra.topo import (
     Partition,
     QuasiOrder,
@@ -24,6 +25,7 @@ from gebra.topo import (
     coproduct_Delta,
     coproduct_delta,
     corolla,
+    delta_bar_tuples,
     discrete,
     down_product,
     ec_partitions,
@@ -35,6 +37,7 @@ from gebra.topo import (
     open_sets,
     parse_topology,
     product_m,
+    render_basis,
     render_topo,
     set_partitions,
     surjection_count,
@@ -496,6 +499,29 @@ def test_bracket_golden_values():
     )
 
 
+def pi_chain_oracle(tc):
+    """pi as the alternating sum over k of the (k-1)-fold stacking of the
+    (k-1)-fold reduced open-set coproduct: one term per chain of open sets."""
+    q = tc.q
+    return lin_sum(
+        (1 if k % 2 else -1, {canonicalize(functools.reduce(QuasiOrder.down, tup)): 1})
+        for k in range(1, q.n + 1)
+        for tup in delta_bar_tuples(q, k)
+    )
+
+
+def test_pi_matches_the_chain_sum_oracle_up_to_5_points():
+    for tc in iso_upto(5):
+        assert inf_pi(tc) == pi_chain_oracle(tc), tc
+
+
+@pytest.mark.parametrize("n,count", [(6, 24), (7, 10)])
+def test_pi_matches_the_chain_sum_oracle_on_random_classes(n, count):
+    for q in random_quasi_orders(n, count, seed=600 + n):
+        tc = canonicalize(q)
+        assert inf_pi(tc) == pi_chain_oracle(tc), q
+
+
 def test_antipode_values_and_takeuchi():
     assert antipode(U) == LinComb.single(U)
     assert antipode(D1) == E((-1, D1))
@@ -820,3 +846,107 @@ def test_symmetric_8_point_topologies_canonicalize_within_100ms(text):
     assert time.perf_counter() - t0 < 0.1
     perm = [3, 6, 0, 7, 2, 5, 1, 4]
     assert _lex_min_rows(relabel(q, perm).rows, 8) == key
+
+
+# -- the per-class memos -------------------------------------------------------
+
+
+def clear_topo_memos():
+    for name, table in vars(topo).items():
+        if name.endswith("_MEMO"):
+            table.clear()
+
+
+def memoized_results(q):
+    """coproduct_Delta, coproduct_delta and canonical_pi_idem of q, and every
+    text render_basis gives for q and for those results."""
+    tc = as_class(q)
+    results = [coproduct_Delta(tc), coproduct_delta(tc), canonical_pi_idem(tc)]
+    return results, [render_basis(tc)] + [format_terms(x, render=render_basis) for x in results]
+
+
+def test_memoized_results_match_cold_ones_after_caller_arithmetic():
+    rng = random.Random(61)
+    inputs = [tc.q for tc in iso_upto(4)] + random_quasi_orders(5, 12, seed=65)
+    inputs += random_quasi_orders(6, 12, seed=66)
+    for q in inputs:
+        clear_topo_memos()
+        cold, cold_texts = memoized_results(relabel(q, rng.sample(range(q.n), q.n)))
+        kept = [dict(x.terms) for x in cold]
+        for x in cold:
+            assert x + x == x.scale(2)
+            assert x - x == LinComb.zero()
+            assert lin_sum([(3, x), (-2, x)]) == -(-x)
+        assert inf_pi(cold[2]) == cold[2]
+        warm, warm_texts = memoized_results(relabel(q, rng.sample(range(q.n), q.n)))
+        assert [x.terms for x in cold] == kept, q
+        assert [x.terms for x in warm] == kept, q
+        assert warm_texts == cold_texts, q
+
+
+def test_size_bounds_are_checked_before_the_memos():
+    seven, eight = as_class("7; 1<2, 3<4"), as_class("8; 1<2")
+    refused = [
+        (canonical_pi_idem, seven),
+        (eulerian_e, seven),
+        (coproduct_delta, eight),
+        (as_class, "9; 1<2"),
+        (coproduct_Delta, "9"),
+        (coproduct_delta, "9; 1<2"),
+        (inf_pi, "9"),
+        (canonical_pi_idem, "9; 1<2"),
+    ]
+    clear_topo_memos()
+    for fn, arg in refused:
+        with pytest.raises(SizeBoundError, match="size bound"):
+            fn(arg)
+    # fill the class routes behind each refusal, then ask again
+    topo._pieul_class(seven)
+    topo._delta_class(eight)
+    for fn, arg in refused:
+        with pytest.raises(SizeBoundError, match="size bound"):
+            fn(arg)
+
+
+# -- the topology parsers under mutation -----------------------------------------
+
+FUZZ_TEXTS = [str(tc) for tc in iso_upto(4)]
+FUZZ_TEXTS += ["0", "15", "8; 1<2, 3~4, 5<6, 7~8", "6; 1<2, 2<3, 3~4, 5<6"]
+# the grammar's characters plus a few that int() reads or refuses
+FUZZ_CHARS = "0123456789;,<~ -+_x.\t\n٣"
+
+
+def mutate(rng, text):
+    """One to three random edits: delete, insert or replace a character,
+    duplicate a slice, or insert a run of nines (long enough, at times, for
+    int() to refuse it)."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(5)
+        i = rng.randrange(len(chars) + 1)
+        if op == 0 and chars:
+            del chars[min(i, len(chars) - 1)]
+        elif op == 1:
+            chars.insert(i, rng.choice(FUZZ_CHARS))
+        elif op == 2 and chars:
+            chars[min(i, len(chars) - 1)] = rng.choice(FUZZ_CHARS)
+        elif op == 3:
+            j = rng.randrange(len(chars) + 1)
+            chars[i:i] = chars[min(i, j):max(i, j)]
+        else:
+            chars.insert(i, "9" * rng.choice((2, 12, 5000)))
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_topology_parsers_end_in_a_result_or_an_algebra_error_promptly(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        text = mutate(rng, rng.choice(FUZZ_TEXTS))
+        for parse, result_type in ((parse_topology, QuasiOrder), (as_class, QuasiOrderClass)):
+            t0 = time.perf_counter()
+            try:
+                assert isinstance(parse(text), result_type), text
+            except (InputError, SizeBoundError):
+                pass
+            assert time.perf_counter() - t0 < 1.0, text
