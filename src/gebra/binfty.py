@@ -10,9 +10,17 @@ and triviality are bounded checks.
 
 The product is computed by recursion over the first cut of each factor,
 <w[:i], w'[:j]> (w[i:] * w'[j:]), visiting only the cut pairs inside the
-bracket's support and memoizing the suffix pairs in a dict that lives for
-one top-level call (induced_product's memo argument); no product is cached
-on the structure between calls.
+bracket's support.  It runs on the word-side kernel: a word is its tuple of
+letter indices, a combination is a plain dict from such tuples to int or
+Fraction coefficients summed by exactlin.term_sum, and the bracket is read
+from `brackets`, an index-keyed copy of the table built once with the
+structure.  The products of suffix pairs are memoized in a dict that lives
+for one top-level call (induced_product's memo argument); no product is
+cached on the structure between calls.  Words and LinCombs appear only at
+the boundary (words.index_terms and words.word_comb), which puts the
+input's coefficients over one common denominator, so that integral
+brackets keep every intermediate sum in ints.  The Word-keyed `bracket`
+stays the public evaluation and is what the oracles use.
 
 Three modes exist: "shuffle" (zero bracket), "quasi_shuffle" (a semigroup
 product on the letters, applied to letter pairs only), and "explicit" (a
@@ -32,16 +40,19 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .exactlin import InputError, LinComb, lin_sum
+from .exactlin import InputError, LinComb, lin_sum, reduced, term_sum
 from .words import (
     Alphabet,
     Word,
     as_letter_comb,
     as_tensor,
     concat_expand,
+    index_terms,
     parse_tensor,
     parse_word,
     prefixed,
+    same_alphabet,
+    word_comb,
 )
 
 SHUFFLE = "shuffle"
@@ -52,7 +63,7 @@ EXPLICIT = "explicit"
 class BInftyStructure:
     """A bracket <-,->: T(V) x T(V) -> V presented by mode and table."""
 
-    __slots__ = ("alphabet", "mode", "mult", "table", "bound", "support")
+    __slots__ = ("alphabet", "mode", "mult", "table", "bound", "support", "brackets")
 
     def __init__(self, alphabet, mode, mult=None, table=None, bound=None):
         if mode not in (SHUFFLE, QUASI_SHUFFLE, EXPLICIT):
@@ -67,6 +78,9 @@ class BInftyStructure:
         # promise nothing (None) and are always evaluated, so that a word
         # past the table bound raises instead of reading as zero.
         self.support = {SHUFFLE: 0, QUASI_SHUFFLE: 1, EXPLICIT: None}[mode]
+        # The nonzero brackets of nonempty words for the kernel, keyed by
+        # pairs of index tuples, each a tuple of (letter tuple, coefficient).
+        self.brackets = {}
         if mode == QUASI_SHUFFLE:
             if mult is None:
                 raise InputError("quasi_shuffle mode needs a multiplication table")
@@ -79,6 +93,10 @@ class BInftyStructure:
                         )
             for (a, b), c in self.mult.items():
                 alphabet.index(a), alphabet.index(b), alphabet.index(c)
+            letters = range(len(alphabet))
+            self.brackets = {
+                ((i,), (j,)): (((self.letter_product(i, j),), 1),) for i in letters for j in letters
+            }
         elif mode == EXPLICIT:
             clean = {}
             top = 1
@@ -95,6 +113,10 @@ class BInftyStructure:
             self.bound = top if bound is None else int(bound)
             if self.bound < top:
                 raise InputError("declared bound is smaller than the stored table")
+            self.brackets = {
+                (w.idx, w2.idx): tuple((u.idx, reduced(c)) for u, c in val.terms.items())
+                for (w, w2), val in clean.items()
+            }
 
     @classmethod
     def shuffle(cls, alphabet):
@@ -130,10 +152,32 @@ class BInftyStructure:
                 return LinComb.single(self.alphabet.letter(k))
             return LinComb.zero()
         if max(len(w), len(w2)) > self.bound:
-            raise InputError(
-                f"bracket evaluated outside the table bound {self.bound}: ({w}, {w2})"
-            )
+            raise self.past_bound(w, w2)
         return self.table.get((w, w2), LinComb.zero())
+
+    def bracket_terms(self, a, b):
+        """The bracket of two nonempty index tuples, as (letter tuple, coefficient) pairs."""
+        head = self.brackets.get((a, b))
+        if head is not None:
+            return head
+        if self.bound is not None and max(len(a), len(b)) > self.bound:
+            raise self.past_bound(Word._trusted(self.alphabet, a), Word._trusted(self.alphabet, b))
+        return ()
+
+    def past_bound(self, w, w2):
+        """The error for an explicit table evaluated past its bound."""
+        return InputError(f"bracket evaluated outside the table bound {self.bound}: ({w}, {w2})")
+
+    def index_terms(self, x):
+        """x as kernel terms (alphabet, terms, d), as words.index_terms gives.
+
+        A structure with a bracket meets only words over its own alphabet,
+        since its bracket values are letters of that alphabet.
+        """
+        alphabet, terms, d = index_terms(x)
+        if alphabet is not None and self.mode != SHUFFLE:
+            same_alphabet(self.alphabet, alphabet)
+        return alphabet, terms, d
 
     def bracket_elem(self, x, y):
         """Bilinear extension of the bracket to combinations of words."""
@@ -160,36 +204,37 @@ class BInftyStructure:
         )
 
 
-def _product_words(B, w, w2, memo):
-    """w * w2 by its first cut: the sum of <w[:i], w2[:j]> (w[i:] * w2[j:]).
+def product_terms(B, a, b, memo):
+    """a * b on index tuples by its first cut: the sum of <a[:i], b[:j]> (a[i:] * b[j:]).
 
     By the unit rules an empty first block leaves (0, 1) and (1, 0), whose
     bracket is the other side's first letter; two nonempty first blocks
     are bracketed only within the support.  The cuts are visited in the
     order of the full double loop over i, then j, which fixes the pair an
-    out-of-bound explicit table names in its error.
+    out-of-bound explicit table names in its error.  The result is a dict
+    from index tuples to coefficients, memoized in memo and never mutated.
     """
-    key = (w.idx, w2.idx)  # one structure, hence one alphabet, per memo
+    key = (a, b)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    n, n2 = len(w), len(w2)
+    n, n2 = len(a), len(b)
     parts = []
     if n2:
-        parts.append((1, prefixed(w2[:1], _product_words(B, w, w2[1:], memo))))
+        parts.append((1, prefixed(b[:1], product_terms(B, a, b[1:], memo))))
     if n:
-        parts.append((1, prefixed(w[:1], _product_words(B, w[1:], w2, memo))))
+        parts.append((1, prefixed(a[:1], product_terms(B, a[1:], b, memo))))
     if n and n2:
         support = B.support
         top = n if support is None else min(n, support)
         top2 = n2 if support is None else min(n2, support)
         for i in range(1, top + 1):
             for j in range(1, top2 + 1):
-                head = B.bracket(w[:i], w2[:j])
+                head = B.bracket_terms(a[:i], b[:j])
                 if head:
-                    tail = _product_words(B, w[i:], w2[j:], memo)
-                    parts.extend((c, prefixed(u, tail)) for u, c in head.terms.items())
-    out = lin_sum(parts) if parts else LinComb.single(w)  # 1 * 1 = 1
+                    tail = product_terms(B, a[i:], b[j:], memo)
+                    parts.extend((c, prefixed(u, tail)) for u, c in head)
+    out = term_sum(parts) if parts else {a: 1}  # 1 * 1 = 1
     memo[key] = out
     return out
 
@@ -201,18 +246,21 @@ def induced_product(B, x, y, memo=None):
     into the same number of possibly-empty blocks, each index contributing
     one bracketed letter.  The empty-against-empty index vanishes, so the
     sum is finite; 1 * 1 = 1.  A caller making many products in one
-    computation passes one dict as memo; it holds word-pair products and
-    is dropped with the caller's frame.
+    computation passes one dict as memo; it holds the products of pairs of
+    index tuples and is dropped with the caller's frame.
     """
-    x = as_tensor(x)
-    y = as_tensor(y)
+    alphabet, xs, d = B.index_terms(x)
+    alphabet2, ys, d2 = B.index_terms(y)
+    if alphabet is not None and alphabet2 is not None:
+        same_alphabet(alphabet, alphabet2)
     if memo is None:
         memo = {}
-    return lin_sum(
-        (c * c2, _product_words(B, w, w2, memo))
-        for w, c in x.terms.items()
-        for w2, c2 in y.terms.items()
+    out = term_sum(
+        (c * c2, product_terms(B, w, w2, memo).items())
+        for w, c in xs.items()
+        for w2, c2 in ys.items()
     )
+    return word_comb(alphabet, out, d * d2)
 
 
 def surjection_product_oracle(B, w, w2):

@@ -265,24 +265,42 @@ class LinComb:
         return f"LinComb({self.terms!r})"
 
 
-def lin_sum(pairs):
-    """The combination sum of c * x over the (c, x) pairs, in one dict.
+def term_sum(pairs):
+    """The sum of c * x over the (c, x) pairs, as one dict with no zero value.
 
-    x is a LinComb or a plain dict key -> coefficient; a coefficient c of 1
-    adds x unscaled.  This is the one accumulation idiom of the word side:
-    nothing is copied or re-normalized per summand.
+    x is an iterable of (key, coefficient) items, such as dict.items(); a
+    coefficient c of 1 adds x unscaled.  Coefficients are added as they
+    come, ints and Fractions alike, with no coercion.  This is the one
+    accumulation idiom: nothing is copied or re-normalized per summand, and
+    lin_sum wraps the result in a LinComb.
     """
     out = {}
     get = out.get
-    for c, x in pairs:
-        terms = x.terms if isinstance(x, LinComb) else x
+    for c, items in pairs:
         scaled = c != 1
-        for k, v in terms.items():
+        for k, v in items:
             if scaled:
                 v = c * v
             prev = get(k)
             out[k] = v if prev is None else prev + v
-    return LinComb(out)
+    if all(out.values()):
+        return out
+    return {k: v for k, v in out.items() if v}
+
+
+def lin_sum(pairs):
+    """The combination sum of c * x over the (c, x) pairs.
+
+    x is a LinComb or a plain dict key -> coefficient.
+    """
+    return LinComb(
+        term_sum((c, (x.terms if isinstance(x, LinComb) else x).items()) for c, x in pairs)
+    )
+
+
+def reduced(c):
+    """An exact scalar as an int when it is integral, else as a Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def tensor_pair(x, y):

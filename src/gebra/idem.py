@@ -13,24 +13,32 @@ None of the sums over the 2^(n-1) block decompositions is enumerated.  They
 are recursions over cut positions with O(n^2) sub-results: e and varpi by a
 Horner scheme over prefixes of the left-folded block products (bilinearity
 only, no associativity assumed), and the lifts in omega and zeta by
-words.memo_lift.  Each top-level call keeps its own product memo and, for
-omega and zeta, its own varpi cache; nothing is cached between calls.
-Hoffman's closed forms stay apart as the independent check on the
-quasi-shuffle case.
+words.memo_lift.  All of them run on the word-side kernel of binfty and
+words (index tuples, plain dicts, exactlin.term_sum) over a common
+denominator: e and varpi on words of length <= n are summed as lcm(1..n)
+times their value, and the values feeding a lift as |w|! times theirs, so
+integral brackets keep every sum in ints.  Each top-level call keeps its
+own product memo and, for omega and zeta, its own varpi cache; nothing is
+cached between calls.  Hoffman's closed forms stay apart as the
+independent check on the quasi-shuffle case.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import comb, factorial, lcm
 
-from .exactlin import Fraction, InputError, LinComb, lin_sum
+from .exactlin import Fraction, InputError, LinComb, reduced, term_sum
 from .words import (
+    apply_scaled,
     as_tensor,
+    lift_comb,
     memo_lift,
     prefixed,
     structure_endo,
+    word_comb,
 )
-from .binfty import QUASI_SHUFFLE, BInftyStructure, induced_product
+from .binfty import QUASI_SHUFFLE, BInftyStructure, induced_product, product_terms
 
 
 def _letter_part(x):
@@ -38,59 +46,66 @@ def _letter_part(x):
 
 
 def _left_fold_sum(B, w, coeffs, memo, maxlen=None):
-    """Sum over k of coeffs[k-1] times the decompositions of w into k blocks,
-    each read as the left-folded product ((b1 b2) b3) ... bk.
+    """Sum over k of coeffs[k-1] times the decompositions of the index tuple
+    w into k blocks, each read as the left-folded product ((b1 b2) b3) ... bk.
 
     With L_k(j) the k-block fold sum of the prefix w[:j] and
     G_m(j) = sum over k of coeffs[k+m-1] L_k(j), the Horner step
     G_m(j) = coeffs[m] w[:j] + sum over 0 < i < j of G_{m+1}(i) w[i:j]
     uses only L_k(j) = sum over i of L_{k-1}(i) w[i:j]; the answer is G_0(n).
-    maxlen drops longer words from every G; this is exact only for a
-    structure whose bracket vanishes past letters, where no product is
-    shorter than its longer factor.
+    The callers scale the signed reciprocals (-1)^(k-1)/k of e (and those
+    of varpi) by a common denominator L, a multiple of lcm(1..n), so the
+    coeffs are ints and the result is L times the sum: every G stays in
+    ints wherever the bracket is integral, and the caller divides by L once
+    per output term.  An explicit table with non-integral values brings in
+    Fractions through the same int/Fraction arithmetic.  maxlen drops
+    longer words from every G; this is exact only for a structure whose
+    bracket vanishes past letters, where no product is shorter than its
+    longer factor.
     """
     n = len(w)
     if n == 0:
-        return LinComb.zero()
+        return {}
     top = n if maxlen is None else maxlen
     prev = None
     for m in range(n - 1, -1, -1):
         cur = [None] * (n - m + 1)
         for j in range(1, n - m + 1):
-            parts = [(coeffs[m], LinComb.single(w[:j]))] if j <= top else []
-            parts += [
-                (1, induced_product(B, prev[i], w[i:j], memo))
-                for i in range(max(1, j - top), j)
-                if prev[i]
-            ]
-            g = lin_sum(parts)
+            parts = [(coeffs[m], ((w[:j], 1),))] if j <= top else []
+            for i in range(max(1, j - top), j):
+                block = w[i:j]
+                parts.extend(
+                    (c, product_terms(B, v, block, memo).items()) for v, c in prev[i].items()
+                )
+            g = term_sum(parts)
             if top < n:
-                g = LinComb({u: c for u, c in g.terms.items() if len(u) <= top})
+                g = {u: c for u, c in g.items() if len(u) <= top}
             cur[j] = g
         prev = cur
     return prev[n]
 
 
-def _signed_reciprocals(n, shift=0):
-    """(-1)^(k-1+shift) / (k+shift) for k = 1..n."""
-    return [Fraction((-1) ** (k - 1 + shift), k + shift) for k in range(1, n + 1)]
+def _signed_reciprocals(n, scale, shift=0):
+    """scale * (-1)^(k-1+shift) / (k+shift) for k = 1..n, an int when k+shift divides scale."""
+    return [reduced(Fraction((-1) ** (k - 1 + shift) * scale, k + shift)) for k in range(1, n + 1)]
 
 
-def _varpi_word(B, w, memo):
-    """<w[:i], T_i> summed over heads, T_i the alternating fold sum of w[i:].
+def _varpi_terms(B, w, memo, scale):
+    """scale * varpi(w) on an index tuple: <w[:i], T_i> summed over heads,
+    T_i the alternating fold sum of w[i:].
 
     A head longer than the bracket's support brackets to zero against every
     nonempty word and is skipped, and T_i is needed only up to the support.
     """
     n = len(w)
     if n <= 1:
-        return LinComb.single(w) if n else LinComb.zero()
+        return {w: scale} if n else {}
     support = B.support
     parts = []
     for i in range(1, n if support is None else min(n, support + 1)):
-        tail = _left_fold_sum(B, w[i:], _signed_reciprocals(n - i, 1), memo, support)
-        parts.append((1, B.bracket_elem(w[:i], tail)))
-    return lin_sum(parts)
+        tail = _left_fold_sum(B, w[i:], _signed_reciprocals(n - i, scale, 1), memo, support)
+        parts.extend((c, B.bracket_terms(w[:i], v)) for v, c in tail.items())
+    return term_sum(parts)
 
 
 def eulerian_idempotent(B, x):
@@ -100,11 +115,14 @@ def eulerian_idempotent(B, x):
     decompositions into k nonempty blocks of (-1)^(k-1)/k times the induced
     product of the blocks.  It kills the unit word and fixes letters.
     """
+    alphabet, terms, d = B.index_terms(x)
+    scale = lcm(*range(1, max(map(len, terms), default=0) + 1))
     memo = {}
-    return lin_sum(
-        (c, _left_fold_sum(B, w, _signed_reciprocals(len(w)), memo))
-        for w, c in as_tensor(x).terms.items()
+    out = term_sum(
+        (c, _left_fold_sum(B, w, _signed_reciprocals(len(w), scale), memo).items())
+        for w, c in terms.items()
     )
+    return word_comb(alphabet, out, d * scale)
 
 
 def varpi(B, x):
@@ -113,14 +131,17 @@ def varpi(B, x):
     Evaluates as the alternating sum of brackets <w1, w2 * ... * wk> over
     block decompositions; the one-block term is the projection onto V.
     """
+    alphabet, terms, d = B.index_terms(x)
+    scale = lcm(*range(1, max(map(len, terms), default=0) + 1))
     memo = {}
-    return lin_sum((c, _varpi_word(B, w, memo)) for w, c in as_tensor(x).terms.items())
+    out = term_sum((c, _varpi_terms(B, w, memo, scale).items()) for w, c in terms.items())
+    return word_comb(alphabet, out, d * scale)
 
 
 def _cached_varpi(B):
-    """varpi on single words, cached for as long as it is kept."""
+    """|w|! varpi(w) on index tuples, cached for as long as it is kept."""
     products = {}
-    return cache(lambda w: _varpi_word(B, w, products))
+    return cache(lambda w: _varpi_terms(B, w, products, factorial(len(w))))
 
 
 class TangentEndo:
@@ -189,12 +210,10 @@ def omega_tilde(B, x, endo=None):
     if not x:
         return x
     if endo is None:
-        pi = _cached_varpi(B)
-    else:
-        if not endo.verify(B):
-            raise InputError("not tangent to identity")
-        pi = lambda w: _letter_part(endo(w))
-    return structure_endo(pi, x)
+        return lift_comb(memo_lift(_cached_varpi(B)), *B.index_terms(x))
+    if not endo.verify(B):
+        raise InputError("not tangent to identity")
+    return structure_endo(lambda w: _letter_part(endo(w)), x)
 
 
 def zeta_tilde(B, x):
@@ -210,23 +229,23 @@ def zeta_tilde(B, x):
     vp = _cached_varpi(B)
 
     @cache
-    def zeta(w):
-        n = len(w)
-        if n == 0:
-            raise InputError("partial map: no value for the unit word")
+    def zeta(t):
+        """|t|! zeta(t), scaled as memo_lift expects."""
+        n = len(t)
         if n == 1:
-            return LinComb.single(w)
-        # the patterns of two or more blocks: a proper prefix, then any
-        # decomposition of the rest
-        patterns = lin_sum(
-            (c, prefixed(u, lift(w[j:])))
+            return {t: 1}
+        # minus n! times the patterns of two or more blocks: a proper
+        # prefix, then any decomposition of the rest
+        patterns = term_sum(
+            (-comb(n, j) * c, prefixed(u, rest))
             for j in range(1, n)
-            for u, c in zeta(w[:j]).terms.items()
+            for rest in (lift(t[j:]),)
+            for u, c in zeta(t[:j]).items()
         )
-        return -patterns.apply(vp)
+        return apply_scaled(vp, patterns)
 
     lift = memo_lift(zeta)
-    return lin_sum((c, lift(w)) for w, c in x.terms.items())
+    return lift_comb(lift, *B.index_terms(x))
 
 
 def _fold_mult(B_or_mult, w):

@@ -5,6 +5,11 @@ deconcatenation.  This module provides the iterated reduced coproducts, the
 coradical filtration degree, the cofree universal lift, and the coalgebra
 endomorphism attached to a projection table together with its inverse.
 
+The lifts run on the word-side kernel that binfty and idem share: a word is
+its tuple of letter indices and a combination a plain dict from such tuples
+to int or Fraction coefficients, summed by exactlin.term_sum.  index_terms
+and word_comb convert at the boundary.
+
 Text grammar: letters are identifiers joined by ".", the empty word is "1",
 an alphabet is declared as "a:1,b:2" (name:degree), and a linear combination
 reads like "3/2*a.b + -1*c".
@@ -15,8 +20,17 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import combinations, product
+from math import comb, factorial, lcm
 
-from .exactlin import Fraction, InputError, LinComb, SizeBoundError, lin_sum
+from .exactlin import (
+    Fraction,
+    InputError,
+    LinComb,
+    SizeBoundError,
+    lin_sum,
+    reduced,
+    term_sum,
+)
 
 IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -380,32 +394,102 @@ def concat_expand(factors, alphabet):
     return acc
 
 
+def same_alphabet(alphabet, other):
+    """Refuse to join words over two different alphabets."""
+    if other is not alphabet and other != alphabet:
+        raise InputError("cannot concatenate words over different alphabets")
+
+
+def index_terms(x):
+    """A combination of words as (alphabet, terms, d) with x = terms / d.
+
+    terms maps the index tuples of the words to ints, d is the least common
+    denominator of the coefficients, and alphabet is the one alphabet the
+    words share (None for zero).  index_terms and word_comb are the boundary
+    of the word-side kernel, which works on index tuples with int-or-Fraction
+    coefficients and meets a Fraction only where a value is not integral.
+    """
+    x = as_tensor(x)
+    d = lcm(*(c.denominator for c in x.terms.values()))
+    alphabet = next((w.alphabet for w in x.terms), None)
+    terms = {}
+    for w, c in x.terms.items():
+        same_alphabet(alphabet, w.alphabet)
+        terms[w.idx] = c.numerator * (d // c.denominator)
+    return alphabet, terms, d
+
+
+def word_comb(alphabet, terms, d):
+    """The combination of words over alphabet whose coefficients are terms / d."""
+    word = Word._trusted
+    return LinComb({word(alphabet, t): Fraction(v, d) for t, v in terms.items()})
+
+
 def prefixed(u, x):
-    """The terms of x with the word u concatenated in front, as a dict."""
-    return {u * v: c for v, c in x.terms.items()}
+    """The terms of x, keyed by index tuples, with u concatenated in front."""
+    return zip(map(u.__add__, x), x.values())
 
 
 def memo_lift(phi):
-    """The lift of phi on single words, cached for as long as it is kept.
+    """The lift of phi on index tuples, cached for as long as it is kept.
 
-    lift(w) is the sum, over the decompositions of w into nonempty blocks,
+    lift(t) is the sum, over the decompositions of t into nonempty blocks,
     of phi(block 1)...phi(block k) concatenated; the unit word lifts to
-    itself.  It is computed by the cut recursion
-    lift(w) = sum over j of phi(w[:j]) lift(w[j:]), which calls phi once
-    per subword instead of once per block of each of 2^(n-1)
-    decompositions, and shares the lifts of common suffixes.
+    itself.  Values are dicts from index tuples to coefficients, scaled by
+    the factorial of the argument's length: phi(t) returns |t|! phi(t) and
+    lift(t) returns |t|! lift(t).  The cut recursion
+    n! lift(t) = sum over j of C(n, j) (j! phi(t[:j])) ((n - j)! lift(t[j:]))
+    calls phi once per subword instead of once per block of each of 2^(n-1)
+    decompositions, shares the lifts of common suffixes, and stays in ints
+    wherever the scaled phi values are ints.
     """
 
     @cache
-    def lift(w):
-        if w.is_empty():
-            return LinComb.single(w)
-        heads = [(j, phi(w[:j])) for j in range(1, len(w) + 1)]
-        return lin_sum(
-            (c, prefixed(u, lift(w[j:]))) for j, head in heads for u, c in head.terms.items()
+    def lift(t):
+        n = len(t)
+        if not n:
+            return {t: 1}
+        heads = [(j, phi(t[:j])) for j in range(1, n + 1)]
+        return term_sum(
+            (comb(n, j) * c, prefixed(u, rest))
+            for j, head in heads
+            for rest in (lift(t[j:]),)
+            for u, c in head.items()
         )
 
     return lift
+
+
+def lift_comb(lift, alphabet, terms, d):
+    """A lift made by memo_lift applied to terms / d, as words over alphabet."""
+    top = factorial(max(map(len, terms), default=0))
+    out = term_sum((c * (top // factorial(len(t))), lift(t).items()) for t, c in terms.items())
+    return word_comb(alphabet, out, d * top)
+
+
+def apply_scaled(f, x):
+    """The sum of x_p f(p) / |p|! over the terms of x, for f scaled as phi is.
+
+    It is summed in ints as the sum of x_p (m! / |p|!) f(p), m the longest
+    |p|, and divided by m! once per term.
+    """
+    top = factorial(max(map(len, x), default=0))
+    s = term_sum((c * (top // factorial(len(p))), f(p).items()) for p, c in x.items())
+    return {u: reduced(Fraction(v, top)) for u, v in s.items()}
+
+
+def _index_map(phi, alphabet):
+    """phi on index tuples over alphabet, scaled as memo_lift expects."""
+
+    def scaled(t):
+        f = factorial(len(t))
+        out = {}
+        for u, c in phi(Word._trusted(alphabet, t)).terms.items():
+            same_alphabet(alphabet, u.alphabet)
+            out[u.idx] = reduced(f * c)
+        return out
+
+    return scaled
 
 
 def cofree_lift(phi, d):
@@ -415,8 +499,8 @@ def cofree_lift(phi, d):
     the n-fold reduced coproduct of the augmentation-reduced part of d,
     computed word by word with memo_lift.
     """
-    lift = memo_lift(_as_callable(phi))
-    return lin_sum((c, lift(w)) for w, c in as_tensor(d).terms.items())
+    alphabet, terms, den = index_terms(d)
+    return lift_comb(memo_lift(_index_map(_as_callable(phi), alphabet)), alphabet, terms, den)
 
 
 def _check_fixes_letters(phi, alphabet):
@@ -452,18 +536,20 @@ def inverse_structure_endo(pi, x):
     x = as_tensor(x)
     if not x:
         return x
-    _check_fixes_letters(pi, alphabet_of(x))
-    lift = memo_lift(pi)
+    alphabet, terms, d = index_terms(x)
+    _check_fixes_letters(pi, alphabet)
+    lift = memo_lift(_index_map(pi, alphabet))
 
     @cache
-    def mu(w):
-        n = len(w)
+    def mu(t):
+        n = len(t)
         if n == 0:
             raise InputError("partial map: no value for the unit word")
         if n == 1:
-            return LinComb.single(w)
-        # every pattern but the n-letter one, which pi sends back to w
-        shorter = lift(w) - LinComb.single(w)
-        return -shorter.apply(mu)
+            return {t: 1}
+        # every pattern but the n-letter one, which pi sends back to t
+        shorter = dict(lift(t))
+        shorter[t] = shorter.get(t, 0) - factorial(n)
+        return apply_scaled(mu, {p: -c for p, c in shorter.items() if c})
 
-    return cofree_lift(mu, x)
+    return lift_comb(memo_lift(mu), alphabet, terms, d)

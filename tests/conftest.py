@@ -55,3 +55,38 @@ def flalg():
 
     table = {(a, a): LinComb.single(b, Fraction(2))}
     return BInftyStructure.explicit(alphabet, table, bound=6)
+
+
+RANDOM_COEFFS = ("-2", "-1", "-1/2", "1/3", "1", "2", "3/2", "-5/6")
+
+
+def random_table_text(rng):
+    """A random explicit bracket table on two or three letters, bound 3.
+
+    Values are rational, often negative; about one line in five is a value
+    that cancels to zero as the table is read.
+    """
+    letters = ("a", "b", "c")[: rng.randint(2, 3)]
+    words = [".".join(rng.choice(letters) for _ in range(rng.randint(1, 3))) for _ in range(12)]
+    lines = ["mode: explicit", "alphabet: " + ", ".join(letters), "bound: 3"]
+    for _ in range(rng.randint(3, 8)):
+        u, v = rng.choice(words), rng.choice(words)
+        if rng.random() < 0.2:
+            x = rng.choice(letters)
+            value = f"1/2*{x} + -1/2*{x}"
+        else:
+            value = " + ".join(
+                f"{rng.choice(RANDOM_COEFFS)}*{rng.choice(letters)}" for _ in range(rng.randint(1, 3))
+            )
+        lines.append(f"{u} , {v} -> {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def random_tables():
+    """Eight seeded random explicit structures (see random_table_text)."""
+    import random
+
+    from gebra.binfty import parse_bracket_file
+
+    return [parse_bracket_file(random_table_text(random.Random(seed))) for seed in range(8)]

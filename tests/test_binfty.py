@@ -14,6 +14,7 @@ from gebra.binfty import (
     check_axioms,
     induced_product,
     parse_bracket_file,
+    product_terms,
     quasi_shuffle_recursive,
     surjection_product_oracle,
 )
@@ -77,6 +78,61 @@ def test_product_routes_agree(qs3, sh3, alph3):
             p = induced_product(B, w, w2)
             assert p == surjection_product_oracle(B, w, w2)
             assert p == quasi_shuffle_recursive(B, w, w2)
+
+
+def test_product_matches_the_oracle_on_random_rational_tables(random_tables):
+    """Every word pair of total length <= 4 on eight random tables with
+    rational, negative and cancelling brackets; the kernel's own dicts hold
+    exactly the oracle's terms, so no zero coefficient is stored."""
+    for B in random_tables:
+        words = list(B.alphabet.words(3, minlen=1))
+        memo = {}
+        for w, w2 in itertools.product(words, words):
+            if len(w) + len(w2) > 4:
+                continue
+            want = surjection_product_oracle(B, w, w2)
+            assert induced_product(B, w, w2) == want, (w, w2)
+            got = product_terms(B, w.idx, w2.idx, memo)
+            assert got == {u.idx: c for u, c in want.terms.items()}, (w, w2)
+
+
+def test_mixed_alphabets_raise(qs3, sh3, alph3):
+    other = Alphabet("x1:1, x2:2, y:3")
+    x1 = parse_word("x1", alph3)
+    y = parse_word("x1.y", other)
+    for B in (qs3, sh3):
+        with pytest.raises(InputError, match="different alphabets"):
+            induced_product(B, x1, y)
+        with pytest.raises(InputError, match="different alphabets"):
+            induced_product(B, LinComb.single(x1) + LinComb.single(y), x1)
+    # a structure with a bracket meets only words over its own alphabet
+    with pytest.raises(InputError, match="different alphabets"):
+        induced_product(qs3, y, y)
+    # the shuffle bracket is zero, so words over any one alphabet multiply
+    want = parse_tensor("2*x1.y.y + y.x1.y", other)
+    assert induced_product(sh3, y, parse_word("y", other)) == want
+
+
+def test_out_of_bound_product_names_the_first_visited_pair():
+    """The pair named is the first past the bound in the order of the cut
+    recursion: the right factor's first letter, the left factor's, then
+    the double loop over the bracketed cuts."""
+    text = "mode: explicit\nalphabet: a:1, b:1\nbound: 1\na , a -> b\na , b -> a\nb , a -> 2*a\n"
+    B = parse_bracket_file(text)
+    cases = [
+        ("a.b", "b.a", "(a.b, a)"),
+        ("b.a.a", "a.b", "(a.a, b)"),
+        ("a", "b.b.a", "(a, b.a)"),
+    ]
+    for u, v, pair in cases:
+        w, w2 = parse_word(u, B.alphabet), parse_word(v, B.alphabet)
+        with pytest.raises(InputError) as exc:
+            induced_product(B, w, w2)
+        assert str(exc.value) == f"bracket evaluated outside the table bound 1: {pair}"
+    B2 = parse_bracket_file(text.replace("bound: 1", "bound: 2") + "a.a , b -> b\n")
+    with pytest.raises(InputError) as exc:
+        induced_product(B2, parse_word("b.a.a", B2.alphabet), parse_word("a.b", B2.alphabet))
+    assert str(exc.value) == "bracket evaluated outside the table bound 2: (b.a.a, b)"
 
 
 def test_product_is_associative_and_commutative(qs3, alph3):

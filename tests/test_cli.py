@@ -258,9 +258,24 @@ a , a.a -> -1*b
 a.b , b -> 3*a
 """
 
+# Non-integral brackets, two of which cancel to zero when the table is read.
+HALF_TABLE = """
+mode: explicit
+alphabet: a:1, b:1
+bound: 7
+a , b -> 1/2*a + -1/2*b
+b , a -> 1/2*b
+a , a -> -1*b + 1/3*a
+b , b -> 1/2*a + -1/2*a
+a.b , a -> 2/3*b
+a , b.a -> -3/2*a + 1/2*a + a
+"""
+
 # sha256 of the stdout of each word-side command, pinned from the route that
-# enumerated every block decomposition.  An argument "@qs", "@fl" or "@rich"
-# stands for the path of a file holding QS_TABLE, FLALG_TABLE or RICH_TABLE.
+# enumerated every block decomposition.  An argument "@qs", "@fl", "@rich" or
+# "@half" stands for the path of a file holding QS_TABLE, FLALG_TABLE,
+# RICH_TABLE or HALF_TABLE.  The length-7 entries at the end were pinned from
+# the route that kept every term as a Word with a Fraction coefficient.
 WORD_GOLDEN = [
     (('eulerian', 'a'), "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
     (('eulerian', 'a', '--json'), "b433f1b22a19e6f3f99dc476cd66189e9df9b4b026a3943293cefd8793349fa8"),
@@ -548,6 +563,58 @@ WORD_GOLDEN = [
     (('hoffman', 'exp', '--table', '@qs', 'x1', '--json'), "064560f11b5f25f30cfe5b757547636ce2a196eab21bda9b35b32aa1a7558ea5"),
     (('hoffman', 'exp', '--table', '@qs', 'x1.x2.x1', '--json'), "be21c8ddfeaccb75ef4d197ebab39dc44d45cfe33109d09aa9f9fe97c8f8cc36"),
     (('hoffman', 'exp', '--table', '@qs', 'x1.x2.x1.x3.x1.x1', '--json'), "a82ea7a6df0b013be31f6b1fd11acd8808569bac98ace58ab1353c6ca52196fb"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2'), "10a9a11a0b9183fc438ddd79cd52681fcc43a49e25474378670998328da5cb69"),
+    (('eulerian', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2', '--json'), "355b2164c222374f7c51d54db87f2d2dd90920ccd6f8b070e12e6d5129f3873d"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2'), "37f4d94400b0c7c4192843167a7657247105c47a9d8ee71190884ad9f7f35f3d"),
+    (('varpi', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2', '--json'), "23028c2c5363111512c649a1c451f03d5e19d571be395d6b9ccfcc72d53212ad"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2'), "c9cb06d4e6ea7de4e3e941864bbe3acb18811c9976cd54abb5d255e41c18aef7"),
+    (('omega', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2', '--json'), "60aba8835ad0171322de4a2f706244b6d0b9f9038c6c2dda8fe142df3944b7eb"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2'), "9edda6be73da45a131e3cf79e7d1582f863e48ff55fd5ed3ee7b2d1bc198b713"),
+    (('zeta', '--table', '@qs', 'x1.x2.x1.x3.x1.x1.x2', '--json'), "c7388b810b59a0d0631b4a5db3017558643a8a83a237790a83bafb9d93d599c6"),
+    (('eulerian', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1'), "d1908d891d2b393354e769989f78445ea0b3216381e9a5533a063950accb19dc"),
+    (('eulerian', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1', '--json'), "328b11be464273fb99444936df5f19f5fe3f01781a1ad74474cbac96c825abcc"),
+    (('varpi', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1'), "37f4d94400b0c7c4192843167a7657247105c47a9d8ee71190884ad9f7f35f3d"),
+    (('varpi', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1', '--json'), "23028c2c5363111512c649a1c451f03d5e19d571be395d6b9ccfcc72d53212ad"),
+    (('omega', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1'), "f7926c62ad137246e9061583b7f102c8f02fb2fcd56eb92337f89b60aa8df173"),
+    (('omega', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1', '--json'), "d8ac35b1668807cee404314fed7b5e7a59bea4aa1cdd763804151eea2710d923"),
+    (('zeta', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1'), "a52073aec2f9719de17a9254b403b6b9fedc6148b5930bc9f064383fca4125cb"),
+    (('zeta', '--table', '@qs', 'x3.x1.x1.x2.x2.x1.x1', '--json'), "febbf9942e6750ea29e7fae7b8fb4f38907b452997bb65281309f5c5aa7e4711"),
+    (('eulerian', '--table', '@fl', 'a.b.a.a.b.a.a'), "59213520f250b48fa4aa2abfb439f5455dba7b20987ac71c227f5275f2be3923"),
+    (('eulerian', '--table', '@fl', 'a.b.a.a.b.a.a', '--json'), "61f07d73a32677490815a19054e4f7fe64bd5509bd9b3146e41bdf738e7e8329"),
+    (('varpi', '--table', '@fl', 'a.b.a.a.b.a.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', '--table', '@fl', 'a.b.a.a.b.a.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('omega', '--table', '@fl', 'a.b.a.a.b.a.a'), "e1c539e59286e08d6155ddbc39afa4a7ba42de116cad233d3d36d21f58cdc87d"),
+    (('omega', '--table', '@fl', 'a.b.a.a.b.a.a', '--json'), "fb2514362fe5d94db51982d6ae58df1a7cd100916789cfe10d6da02fd94d6f5f"),
+    (('zeta', '--table', '@fl', 'a.b.a.a.b.a.a'), "389d136caed5a353fcad00609890d626dd7cf8b1e69bd4183286b16e9736bb12"),
+    (('zeta', '--table', '@fl', 'a.b.a.a.b.a.a', '--json'), "135a4e2f5a40a2dc1b3e424bfc6bbf0144324ef9d487669c399bdc51c4d81f55"),
+    (('eulerian', '--table', '@fl', 'a.a.a.a.a.a.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('eulerian', '--table', '@fl', 'a.a.a.a.a.a.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('varpi', '--table', '@fl', 'a.a.a.a.a.a.a'), "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (('varpi', '--table', '@fl', 'a.a.a.a.a.a.a', '--json'), "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    (('omega', '--table', '@fl', 'a.a.a.a.a.a.a'), "5e906dcb6d7c16fa249701cb861b942f18bb92af9e707ba41936346204ab5d90"),
+    (('omega', '--table', '@fl', 'a.a.a.a.a.a.a', '--json'), "ed30735143478103a000e19b9dfe7132c474983c1c0d637ea06f072ecbe4742c"),
+    (('zeta', '--table', '@fl', 'a.a.a.a.a.a.a'), "b55fb84098aecf75d455d9873e0c60fa1492469e933280bb1068f052deed6809"),
+    (('zeta', '--table', '@fl', 'a.a.a.a.a.a.a', '--json'), "e88c5167e0b7ad0fa53ce4ab4212ef00a1d13727b358653e8c33bf6b59f491e9"),
+    (('eulerian', '--table', '@half', 'a.b.a.a.b.a.b'), "fc647e6604b91321c71b96771557536b04b1f44d596b8236aae1cd9e6b26c842"),
+    (('eulerian', '--table', '@half', 'a.b.a.a.b.a.b', '--json'), "8e755962dc24e8134680fd1f73256e0a37bcf918436ca6ada22e9b9fabb86744"),
+    (('varpi', '--table', '@half', 'a.b.a.a.b.a.b'), "db8e78e3d38e3b0bf9d1f113f8e576fe10751217e155b2aafa7692e6d52d05f5"),
+    (('varpi', '--table', '@half', 'a.b.a.a.b.a.b', '--json'), "9c3930d8ac648a6476423acef542e08bfe3611f42d3d50842c111f6ac0c7713c"),
+    (('omega', '--table', '@half', 'a.b.a.a.b.a.b'), "59a0cb7046939691a23011f61f28a9f707e52e684a396a9fe50d6cc6734e74b0"),
+    (('omega', '--table', '@half', 'a.b.a.a.b.a.b', '--json'), "009c1ec634095f13580dcd659de2f32b1da78b716176316cd270bb86af978cb1"),
+    (('zeta', '--table', '@half', 'a.b.a.a.b.a.b'), "84bace479b88219ae3008f189e2192f5488ccc09ad4ac1352c7041c0cf6d30fe"),
+    (('zeta', '--table', '@half', 'a.b.a.a.b.a.b', '--json'), "da3189e902a7429f8333987196d4cf917d27bba194c6945237b6ff9dd9e8d6b4"),
+    (('eulerian', '--table', '@half', 'b.a.a.b.b.a.a'), "86203570d3e8866a6da9eebd50093793fa0493fb447f47e04fb27b2441d877c5"),
+    (('eulerian', '--table', '@half', 'b.a.a.b.b.a.a', '--json'), "5abdb0ec33b52fc1b06f4d98725baa3e2a3cc1353289624a85bbb58e80ea22de"),
+    (('varpi', '--table', '@half', 'b.a.a.b.b.a.a'), "d138011e39fd13dff8a3db8579505b940549b184fc27bb8c944efc1015013db3"),
+    (('varpi', '--table', '@half', 'b.a.a.b.b.a.a', '--json'), "a462642dbabbfa9f9907a71d551427db2e499ba3d8b08ccdec6c25fe386da52e"),
+    (('omega', '--table', '@half', 'b.a.a.b.b.a.a'), "376a4d7250c4bd8b86b7e1cedf0cc401dbd0a7521625d85fc38816eb509ba8fd"),
+    (('omega', '--table', '@half', 'b.a.a.b.b.a.a', '--json'), "e354f9cff0a7e4b4808aa5cd05e7aab004a74ddf985a4aa47812c9eb749e028c"),
+    (('zeta', '--table', '@half', 'b.a.a.b.b.a.a'), "e90fd9ac6013744a4e06caba5dd6defbe13e332715c5af3d17c5b88fc2d38da4"),
+    (('zeta', '--table', '@half', 'b.a.a.b.b.a.a', '--json'), "622a0ac0bb4266655efd6c07721a34f0cbc393054a4bf329fe1de31764f4d40f"),
+    (('omega', '--table', '@half', '1/3*a.b.a + -2*b.b.a.a.b.a.b'), "9f354a2d860d1eaa34b921d0d844ed2399c743a1d4d9fe27a3fb6aa1c039137a"),
+    (('omega', '--table', '@half', '1/3*a.b.a + -2*b.b.a.a.b.a.b', '--json'), "6b7488a83c986c2ee82630b640da2f0cfdf0a6f69eddbae1a9d97cdb55c0f896"),
+    (('zeta', '--table', '@half', '1/3*a.b.a + -2*b.b.a.a.b.a.b'), "543faa208c893fbe984f3150813054b8c46b3e55303e9c065b4c98cf6e5618b7"),
+    (('zeta', '--table', '@half', '1/3*a.b.a + -2*b.b.a.a.b.a.b', '--json'), "3fb906576870a0644ecef3a00907290b69b5f81c8e2c55afe6d663f0f562269a"),
 ]
 
 
@@ -555,7 +622,9 @@ WORD_GOLDEN = [
 def table_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("tables")
     paths = {}
-    for name, text in (("qs", QS_TABLE), ("fl", FLALG_TABLE), ("rich", RICH_TABLE)):
+    for name, text in (
+        ("qs", QS_TABLE), ("fl", FLALG_TABLE), ("rich", RICH_TABLE), ("half", HALF_TABLE)
+    ):
         path = root / f"{name}.tbl"
         path.write_text(text)
         paths["@" + name] = str(path)
@@ -570,6 +639,81 @@ def test_word_side_output_is_byte_identical(argv, digest, table_paths, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the tensor and table parsers under mutation --------------------------------
+
+FUZZ_TENSORS = ["2 + 1/2*a.b + -3*b.a.c", "a.b.a.a.b", "-5/6*b.a + a", "1", "x1.x2.x1 + -1/3*x3"]
+FUZZ_TABLES = [QS_TABLE, FLALG_TABLE, RICH_TABLE, HALF_TABLE, "mode: shuffle\nalphabet: a, b, c\n"]
+# the characters of both grammars, plus a few that the parsers refuse
+FUZZ_CHARS = "abcx123.*+/- ,:#=>\n\t\u0663"
+
+
+def mutate(rnd, text):
+    """One to three random edits: delete, insert or replace a character,
+    duplicate a slice, or insert a run of nines."""
+    chars = list(text)
+    for _ in range(rnd.randint(1, 3)):
+        op = rnd.randrange(5)
+        i = rnd.randrange(len(chars) + 1)
+        if op == 0 and chars:
+            del chars[min(i, len(chars) - 1)]
+        elif op == 1:
+            chars.insert(i, rnd.choice(FUZZ_CHARS))
+        elif op == 2 and chars:
+            chars[min(i, len(chars) - 1)] = rnd.choice(FUZZ_CHARS)
+        elif op == 3:
+            j = rnd.randrange(len(chars) + 1)
+            chars[i:i] = chars[min(i, j):max(i, j)]
+        else:
+            chars.insert(i, "9" * rnd.choice((2, 12, 5000)))
+    return "".join(chars)
+
+
+def main_exit_and_stderr(argv):
+    """cli.main in process; argparse's own exit counts as a code."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.tbl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("omega", "zeta", "binf check")),
+    st.sampled_from(FUZZ_TENSORS),
+    st.sampled_from((None,) + tuple(range(len(FUZZ_TABLES)))),
+    st.booleans(),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_tensor_and_table_parsers_end_in_an_exit_code_promptly(
+    fuzz_table_path, command, tensor, table, mutate_table, budget, rnd
+):
+    argv = command.split()
+    if table is not None or command == "binf check":
+        text = FUZZ_TABLES[0 if table is None else table]
+        if mutate_table or command == "binf check":
+            text = mutate(rnd, text)
+        fuzz_table_path.write_text(text)
+        argv += ["--table", str(fuzz_table_path)]
+    if command == "binf check":
+        argv += ["--budget", str(budget)]
+    else:
+        argv.append(mutate(rnd, tensor))
+    t0 = time.monotonic()
+    code, err = main_exit_and_stderr(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert time.monotonic() - t0 < 1.0, argv
 
 
 # The same pins for inputs that took 13-16 s each on the enumerating route;

@@ -10,9 +10,12 @@ from gebra.exactlin import (
     LinComb,
     Poly,
     format_terms,
+    lin_sum,
     parse_scalar,
+    reduced,
     scalar_div,
     tensor_pair,
+    term_sum,
 )
 
 scalars = st.fractions(
@@ -169,3 +172,29 @@ def test_lincomb_matches_assoc_list_oracle(pairs, c):
     assert sorted(x.items()) == naive_assoc_list(pairs)
     scaled = [(k, c * v) for k, v in pairs]
     assert sorted(x.scale(c).items()) == naive_assoc_list(scaled)
+
+
+def test_term_sum_adds_raw_coefficients_and_drops_zeros():
+    pairs = [
+        (1, {"a": 2, "b": 3}.items()),
+        (-1, [("a", 2), ("c", Fraction(-1, 2))]),
+        (2, {"b": Fraction(-3, 2), "c": Fraction(1, 4), "d": 5}.items()),
+    ]
+    out = term_sum(pairs)
+    assert out == {"c": 1, "d": 10}
+    assert type(out["d"]) is int
+    assert list(out) == ["c", "d"]
+    assert term_sum([]) == {}
+
+
+def test_lin_sum_wraps_term_sum():
+    x = LinComb({"a": Fraction(1, 3), "b": 1})
+    got = lin_sum([(3, x), (-1, {"a": 1, "c": Fraction(1, 2)})])
+    assert got == LinComb({"b": 3, "c": Fraction(-1, 2)})
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_reduced_keeps_the_value():
+    assert reduced(Fraction(6, 3)) == 2 and type(reduced(Fraction(6, 3))) is int
+    assert reduced(Fraction(1, 3)) == Fraction(1, 3)
+    assert reduced(-4) == -4

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from gebra.exactlin import InputError, LinComb
 from gebra.words import parse_tensor, parse_word
-from gebra.binfty import induced_product
+from gebra.binfty import induced_product, surjection_product_oracle
 from gebra.idem import (
     TangentEndo,
     eulerian_idempotent,
@@ -200,10 +200,21 @@ def _decompositions(w, k):
         yield [w[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def oracle_product(B, x, w, memo):
+    """x * w from the surjection oracle, which shares nothing with the
+    kernel; memo holds the oracle's word-pair products."""
+    out = LinComb.zero()
+    for u, c in x.terms.items():
+        if (u, w) not in memo:
+            memo[(u, w)] = surjection_product_oracle(B, u, w)
+        out = out + c * memo[(u, w)]
+    return out
+
+
 def _left_fold(B, blocks, memo):
     prod = LinComb.single(blocks[0])
     for b in blocks[1:]:
-        prod = induced_product(B, prod, b, memo)
+        prod = oracle_product(B, prod, b, memo)
     return prod
 
 
@@ -284,3 +295,58 @@ def test_word_past_the_table_bound_still_raises():
             fn(B, past)
     with pytest.raises(InputError, match="outside the table bound"):
         enumerated_eulerian(B, past, {})
+
+
+def test_out_of_bound_error_names_the_first_visited_pair():
+    """The pair named follows the order of the cut recursions."""
+    from gebra.binfty import parse_bracket_file
+
+    tables = {
+        1: NONASSOC_TABLE.replace("a.a , b -> b\n", "").replace("bound: 6", "bound: 1"),
+        2: NONASSOC_TABLE.replace("bound: 6", "bound: 2"),
+    }
+    cases = [
+        (1, eulerian_idempotent, "a.b.a.a", "(a, b.a)"),
+        (1, eulerian_idempotent, "b.a.b", "(b, a.b)"),
+        (1, varpi, "a.b.a.a", "(b, a.a)"),
+        (1, varpi, "b.b.a.b", "(b, a.b)"),
+        (1, omega_tilde, "a.b.a.a", "(a, b.a)"),
+        (1, zeta_tilde, "b.a.a.b", "(b, a.a)"),
+        (2, eulerian_idempotent, "a.b.a.a", "(a, b.a.a)"),
+        (2, varpi, "a.b.a.a", "(a, a.a.b)"),
+        (2, varpi, "b.b.a.b", "(b, b.a.b)"),
+        (2, omega_tilde, "a.b.a.a", "(a, a.a.b)"),
+        (2, zeta_tilde, "b.a.a.b", "(b, a.b.a)"),
+    ]
+    for bound, fn, text, pair in cases:
+        B = parse_bracket_file(tables[bound])
+        with pytest.raises(InputError) as exc:
+            fn(B, parse_word(text, B.alphabet))
+        assert str(exc.value) == f"bracket evaluated outside the table bound {bound}: {pair}"
+
+
+def test_recursions_match_enumeration_on_random_rational_tables(random_tables):
+    """e and varpi against the enumerations, and zeta against omega, on
+    eight random tables with rational, negative and cancelling brackets."""
+    for B in random_tables:
+        memo = {}
+        for w in B.alphabet.words(4, minlen=1):
+            assert eulerian_idempotent(B, w) == enumerated_eulerian(B, w, memo), w
+            assert varpi(B, w) == enumerated_varpi(B, w, memo), w
+            x = LinComb.single(w)
+            assert zeta_tilde(B, omega_tilde(B, x)) == x, w
+            assert omega_tilde(B, zeta_tilde(B, x)) == x, w
+
+
+def test_mixed_alphabets_raise(qs3, sh3, alph3):
+    from gebra.words import Alphabet
+
+    other = Alphabet("x1:1, x2:2, y:3")
+    mixed = LinComb.single(parse_word("x1.x2", alph3)) + LinComb.single(parse_word("y", other))
+    for B in (qs3, sh3):
+        for fn in (eulerian_idempotent, varpi, omega_tilde, zeta_tilde):
+            with pytest.raises(InputError, match="different alphabets"):
+                fn(B, mixed)
+    for fn in (eulerian_idempotent, varpi, omega_tilde, zeta_tilde):
+        with pytest.raises(InputError, match="different alphabets"):
+            fn(qs3, parse_word("x1.y", other))

@@ -266,3 +266,48 @@ def test_word_str_parse_roundtrip(letters):
     w = parse_word(".".join(letters), ab)
     assert parse_word(str(w), ab) == w
     assert alphabet_of(as_tensor(w)) is ab or alphabet_of(as_tensor(w)) == ab
+
+
+def test_cofree_lift_matches_block_enumeration_with_rational_values():
+    """The cut recursion against the sum over block_decompositions, for a
+    map with rational, negative and zero values and a rational input."""
+    import random
+
+    rng = random.Random(7)
+    abc = Alphabet("a:1, b:1, c:1")
+    coeffs = [Fraction(c) for c in ("-3/2", "-1", "1/3", "2", "5/4")]
+    table = {}
+    for w in abc.words(4, minlen=2):
+        val = LinComb.zero()
+        for i in rng.sample(range(3), rng.randint(0, 2)):
+            val = val + LinComb.single(abc.letter(i), rng.choice(coeffs))
+        table[w] = val
+
+    def pi(w):
+        return LinComb.single(w) if len(w) == 1 else table[w]
+
+    def enumerated(w):
+        out = LinComb.zero()
+        for k in range(1, len(w) + 1):
+            for blocks in block_decompositions(w, k):
+                out = out + concat_expand([pi(b) for b in blocks], abc)
+        return out
+
+    corpus = rng.sample(list(abc.words(4, minlen=1)), 30)
+    for w in corpus:
+        assert cofree_lift(pi, w) == enumerated(w), w
+    x = parse_tensor("2 + 1/2*a.b.c + -3*c.a.a.b + 5/6*b", abc)
+    want = LinComb.single(abc.empty_word(), Fraction(2))
+    for w, c in x.items():
+        if len(w):
+            want = want + c * enumerated(w)
+    assert cofree_lift(pi, x) == want
+
+
+def test_lift_refuses_values_over_another_alphabet(ab):
+    other = Alphabet("a:1, z:1")
+    with pytest.raises(InputError, match="different alphabets"):
+        cofree_lift(lambda w: LinComb.single(other.letter(1)), parse_word("a.b", ab))
+    mixed = LinComb.single(parse_word("a", ab)) + LinComb.single(parse_word("z", other))
+    with pytest.raises(InputError, match="different alphabets"):
+        cofree_lift(LetterMap(ab, identity_on_letters=True), mixed)
