@@ -39,13 +39,15 @@ Bracket table file format::
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 
-from .exactlin import InputError, LinComb, lin_sum, reduced, term_sum
+from .exactlin import InputError, LinComb, SizeBoundError, lin_sum, reduced, term_sum
 from .words import (
     Alphabet,
     Word,
     as_letter_comb,
     as_tensor,
+    check_word_bound,
     concat_expand,
     index_terms,
     parse_tensor,
@@ -352,16 +354,45 @@ def quasi_shuffle_recursive(B, w, w2):
     return rec(w, w2)
 
 
+# check_axioms visits every nonempty word, pair and triple of words of total
+# length within the budget, and refuses a budget with more of them than
+# this.  The worst case inside the bound measured is two letters at budget 7
+# (4346 tuples) with every bracket of total length up to 7 nonzero: about
+# 3.3 s on a 2-vCPU VM.  Three letters at budget 6 (15033 tuples) took 2.5 s
+# on a quasi-shuffle table and 11 s on a dense explicit one.
+AXIOM_CHECK_BOUND = 5000
+
+
+def axiom_check_size(letters, length_budget):
+    """How many words, pairs and triples of nonempty words check_axioms visits.
+
+    Each tuple of total length L is a word of length L over the letters
+    split into at most three nonempty parts.
+    """
+    return sum(
+        letters**L * (comb(L - 1, 0) + comb(L - 1, 1) + comb(L - 1, 2))
+        for L in range(1, length_budget + 1)
+    )
+
+
 def check_axioms(B, length_budget):
     """Bounded validity report for the B-infinity axioms.
 
     unit: the bracket against the unit word acts as the projection onto V;
     assoc: <w, w' * w''> = <w * w', w''> on all nonempty triples of total
     length within the budget; comm: the bracket is symmetric; trivial: the
-    bracket vanishes on all pairs of nonempty words.
+    bracket vanishes on all pairs of nonempty words.  The budget is refused
+    past WORD_BOUND and past AXIOM_CHECK_BOUND visited tuples.
     """
     if length_budget < 1:
         raise InputError("length budget must be >= 1")
+    check_word_bound(length_budget)
+    size = axiom_check_size(len(B.alphabet.letters), length_budget)
+    if size > AXIOM_CHECK_BOUND:
+        raise SizeBoundError(
+            f"size bound: the axiom check would visit {size} word tuples,"
+            f" more than {AXIOM_CHECK_BOUND}"
+        )
     alphabet = B.alphabet
     unit = True
     for w in alphabet.words(length_budget, minlen=1):

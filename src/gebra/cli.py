@@ -7,35 +7,51 @@ sorted canonically, and --json switches any element output to
 
 Exit codes: 0 on success, 2 on malformed input, 3 on a size-bound
 violation.
+
+A process executes only the layers its command uses.  binfty, idem,
+descent and topo are registered in sys.modules through
+importlib.util.LazyLoader, so each module body runs on its first
+attribute access, and the commands reach them as module attributes
+(descent.dynkin, never a name imported from them).  build_parser
+registers every command with its help text but builds the arguments and
+subcommands of the invoked one only; a `desc` process thus runs exactlin,
+words, descent and cli, and never reads binfty's mode table.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import re
 import sys
 
-from .binfty import (
-    MODE_NAMES,
-    QUASI_SHUFFLE,
-    BInftyStructure,
-    check_axioms,
-    induced_product,
-    parse_bracket_file,
-)
 from .exactlin import AlgebraError, InputError, SizeBoundError, format_terms
-from .idem import (
-    eulerian_idempotent,
-    hoffman_exp,
-    hoffman_log,
-    omega_tilde,
-    varpi,
-    zeta_tilde,
-)
 from .words import IDENT, Alphabet, check_word_bound, parse_tensor, parse_word
-from . import descent
-from . import topo
+
+
+def _lazy_layer(name):
+    """The module gebra.<name>, in sys.modules at once but executed on first attribute access.
+
+    A layer imported before gebra.cli is returned as it is, so that every
+    importer shares one module and its classes.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+binfty = _lazy_layer("binfty")
+idem = _lazy_layer("idem")
+descent = _lazy_layer("descent")
+topo = _lazy_layer("topo")
 
 
 # -- output helpers -----------------------------------------------------------
@@ -103,12 +119,12 @@ def _structure(args, texts):
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read table file {table}: {exc}") from None
-        B = parse_bracket_file(text, alphabet)
-        if mode and MODE_NAMES.get(mode) != B.mode:
+        B = binfty.parse_bracket_file(text, alphabet)
+        if mode and binfty.MODE_NAMES.get(mode) != B.mode:
             raise InputError(f"--mode {mode} contradicts the table file ({B.mode})")
         return B
     if mode in (None, "shuffle"):
-        return BInftyStructure.shuffle(alphabet or _infer_alphabet(texts))
+        return binfty.BInftyStructure.shuffle(alphabet or _infer_alphabet(texts))
     raise InputError(f"mode {mode!r} needs --table")
 
 
@@ -119,21 +135,21 @@ def cmd_shuffle(args):
     alphabet = Alphabet(args.alphabet) if args.alphabet else _infer_alphabet(
         [args.word, args.word2]
     )
-    B = BInftyStructure.shuffle(alphabet)
+    B = binfty.BInftyStructure.shuffle(alphabet)
     w = parse_word(args.word, alphabet)
     w2 = parse_word(args.word2, alphabet)
     check_word_bound(len(w) + len(w2))
-    _emit_elem(args, induced_product(B, w, w2))
+    _emit_elem(args, binfty.induced_product(B, w, w2))
 
 
 def cmd_qshuffle(args):
     B = _structure(args, [args.word, args.word2])
-    if B.mode != QUASI_SHUFFLE:
+    if B.mode != binfty.QUASI_SHUFFLE:
         raise InputError("qshuffle needs a quasi_shuffle table (mode: qshuffle)")
     w = parse_word(args.word, B.alphabet)
     w2 = parse_word(args.word2, B.alphabet)
     check_word_bound(len(w) + len(w2))
-    _emit_elem(args, induced_product(B, w, w2))
+    _emit_elem(args, binfty.induced_product(B, w, w2))
 
 
 def cmd_binf_prod(args):
@@ -141,32 +157,32 @@ def cmd_binf_prod(args):
     w = parse_word(args.word, B.alphabet)
     w2 = parse_word(args.word2, B.alphabet)
     check_word_bound(len(w) + len(w2))
-    _emit_elem(args, induced_product(B, w, w2))
+    _emit_elem(args, binfty.induced_product(B, w, w2))
 
 
 def cmd_binf_check(args):
     B = _structure(args, [])
-    _emit_report(args, check_axioms(B, args.budget))
+    _emit_report(args, binfty.check_axioms(B, args.budget))
 
 
 def cmd_eulerian(args):
     B = _structure(args, [args.word])
     w = parse_word(args.word, B.alphabet)
     check_word_bound(len(w))
-    _emit_elem(args, eulerian_idempotent(B, w))
+    _emit_elem(args, idem.eulerian_idempotent(B, w))
 
 
 def cmd_varpi(args):
     B = _structure(args, [args.word])
     w = parse_word(args.word, B.alphabet)
     check_word_bound(len(w))
-    _emit_elem(args, varpi(B, w))
+    _emit_elem(args, idem.varpi(B, w))
 
 
 def cmd_hoffman(args):
     B = _structure(args, [args.word])
     w = parse_word(args.word, B.alphabet)
-    fn = hoffman_log if args.which == "log" else hoffman_exp
+    fn = idem.hoffman_log if args.which == "log" else idem.hoffman_exp
     _emit_elem(args, fn(B, w))
 
 
@@ -179,12 +195,12 @@ def _bounded_tensor(args):
 
 def cmd_omega(args):
     B, x = _bounded_tensor(args)
-    _emit_elem(args, omega_tilde(B, x))
+    _emit_elem(args, idem.omega_tilde(B, x))
 
 
 def cmd_zeta(args):
     B, x = _bounded_tensor(args)
-    _emit_elem(args, zeta_tilde(B, x))
+    _emit_elem(args, idem.zeta_tilde(B, x))
 
 
 # -- descent commands ---------------------------------------------------------
@@ -256,80 +272,84 @@ def cmd_topo(args):
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gebra",
-        description="Exact algebra on words, descents, and finite topologies.",
-    )
+def _json_parents():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON term schema")
+    return [common]
+
+
+def _table_parents():
     tbl = argparse.ArgumentParser(add_help=False)
     tbl.add_argument("--table", metavar="FILE", help="bracket table file")
-    tbl.add_argument("--mode", choices=sorted(MODE_NAMES), help="structure mode when no table is given")
+    tbl.add_argument("--mode", choices=sorted(binfty.MODE_NAMES), help="structure mode when no table is given")
     tbl.add_argument("--alphabet", metavar="SPEC", help='letters, e.g. "a,b" or "a:1,b:2"')
+    return _json_parents() + [tbl]
 
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
 
-    sp = sub.add_parser("shuffle", parents=[common], help="shuffle product of two words")
+def _word_command(func, *positionals):
+    """Builder of a word-side command: --json, the structure options, then the positionals."""
+    def build(sub, name, help_text):
+        sp = sub.add_parser(name, parents=_table_parents(), help=help_text)
+        for arg in positionals:
+            sp.add_argument(arg)
+        sp.set_defaults(func=func)
+    return build
+
+
+def _build_shuffle(sub, name, help_text):
+    sp = sub.add_parser(name, parents=_json_parents(), help=help_text)
     sp.add_argument("--alphabet", metavar="SPEC")
     sp.add_argument("word")
     sp.add_argument("word2")
     sp.set_defaults(func=cmd_shuffle)
 
-    sp = sub.add_parser("qshuffle", parents=[common, tbl], help="quasi-shuffle product of two words")
-    sp.add_argument("word")
-    sp.add_argument("word2")
-    sp.set_defaults(func=cmd_qshuffle)
 
-    binf = sub.add_parser("binf", help="general bracket-induced operations")
-    bsub = binf.add_subparsers(dest="binf_cmd", required=True, metavar="SUBCOMMAND")
-    sp = bsub.add_parser("prod", parents=[common, tbl], help="induced product of two words")
-    sp.add_argument("word")
-    sp.add_argument("word2")
-    sp.set_defaults(func=cmd_binf_prod)
-    sp = bsub.add_parser("check", parents=[common, tbl], help="bounded axiom report")
-    sp.add_argument("--budget", type=int, default=3, help="total length budget (default 3)")
-    sp.set_defaults(func=cmd_binf_check)
-
-    sp = sub.add_parser("eulerian", parents=[common, tbl], help="Eulerian idempotent of a word")
-    sp.add_argument("word")
-    sp.set_defaults(func=cmd_eulerian)
-
-    sp = sub.add_parser("varpi", parents=[common, tbl], help="letter part of the Eulerian idempotent")
-    sp.add_argument("word")
-    sp.set_defaults(func=cmd_varpi)
-
-    sp = sub.add_parser("hoffman", parents=[common, tbl], help="quasi-shuffle closed forms")
+def _build_hoffman(sub, name, help_text):
+    sp = sub.add_parser(name, parents=_table_parents(), help=help_text)
     sp.add_argument("which", choices=("log", "exp"))
     sp.add_argument("word")
     sp.set_defaults(func=cmd_hoffman)
 
-    sp = sub.add_parser("omega", parents=[common, tbl], help="isomorphism onto the shuffle algebra")
-    sp.add_argument("expr")
-    sp.set_defaults(func=cmd_omega)
 
-    sp = sub.add_parser("zeta", parents=[common, tbl], help="inverse isomorphism from the shuffle algebra")
-    sp.add_argument("expr")
-    sp.set_defaults(func=cmd_zeta)
+def _build_binf(sub, name, help_text):
+    bsub = sub.add_parser(name, help=help_text).add_subparsers(
+        dest="binf_cmd", required=True, metavar="SUBCOMMAND"
+    )
+    parents = _table_parents()
+    sp = bsub.add_parser("prod", parents=parents, help="induced product of two words")
+    sp.add_argument("word")
+    sp.add_argument("word2")
+    sp.set_defaults(func=cmd_binf_prod)
+    sp = bsub.add_parser("check", parents=parents, help="bounded axiom report")
+    sp.add_argument("--budget", type=int, default=3, help="total length budget (default 3)")
+    sp.set_defaults(func=cmd_binf_check)
 
-    desc = sub.add_parser("desc", help="descent algebra of the symmetric groups")
-    dsub = desc.add_subparsers(dest="desc_cmd", required=True, metavar="SUBCOMMAND")
-    sp = dsub.add_parser("dynkin", parents=[common], help="iterated-bracket element")
+
+def _build_desc(sub, name, help_text):
+    dsub = sub.add_parser(name, help=help_text).add_subparsers(
+        dest="desc_cmd", required=True, metavar="SUBCOMMAND"
+    )
+    parents = _json_parents()
+    sp = dsub.add_parser("dynkin", parents=parents, help="iterated-bracket element")
     sp.add_argument("n", type=int)
     sp.set_defaults(func=cmd_desc)
-    sp = dsub.add_parser("solomon", parents=[common], help="canonical Lie idempotent")
+    sp = dsub.add_parser("solomon", parents=parents, help="canonical Lie idempotent")
     sp.add_argument("n", type=int)
     sp.set_defaults(func=cmd_desc)
-    sp = dsub.add_parser("conv", parents=[common], help="convolution of two group algebra elements")
+    sp = dsub.add_parser("conv", parents=parents, help="convolution of two group algebra elements")
     sp.add_argument("g")
     sp.add_argument("h")
     sp.set_defaults(func=cmd_desc)
-    sp = dsub.add_parser("check", parents=[common], help="descent identity report")
+    sp = dsub.add_parser("check", parents=parents, help="descent identity report")
     sp.add_argument("n", type=int)
     sp.set_defaults(func=cmd_desc)
 
-    tp = sub.add_parser("topo", help="finite topologies")
-    tsub = tp.add_subparsers(dest="topo_cmd", required=True, metavar="SUBCOMMAND")
+
+def _build_topo(sub, name, help_text):
+    tsub = sub.add_parser(name, help=help_text).add_subparsers(
+        dest="topo_cmd", required=True, metavar="SUBCOMMAND"
+    )
+    parents = _json_parents()
     for name, help_text in (
         ("delta", "open-set coproduct"),
         ("delta2", "contraction-restriction coproduct"),
@@ -339,19 +359,56 @@ def build_parser():
         ("eulerian", "Eulerian idempotent"),
         ("pieul", "pi composed with the Eulerian idempotent"),
     ):
-        sp = tsub.add_parser(name, parents=[common], help=help_text)
+        sp = tsub.add_parser(name, parents=parents, help=help_text)
         sp.add_argument("topology", help='e.g. "3; 1<3, 2<3"')
         sp.set_defaults(func=cmd_topo)
     for name, help_text in (("ladder", "the n-chain"), ("corolla", "the n-fan")):
-        sp = tsub.add_parser(name, parents=[common], help=help_text)
+        sp = tsub.add_parser(name, parents=parents, help=help_text)
         sp.add_argument("n", type=int)
         sp.set_defaults(func=cmd_topo)
 
+
+# name -> (help text, builder of its parser)
+_COMMANDS = {
+    "shuffle": ("shuffle product of two words", _build_shuffle),
+    "qshuffle": ("quasi-shuffle product of two words", _word_command(cmd_qshuffle, "word", "word2")),
+    "binf": ("general bracket-induced operations", _build_binf),
+    "eulerian": ("Eulerian idempotent of a word", _word_command(cmd_eulerian, "word")),
+    "varpi": ("letter part of the Eulerian idempotent", _word_command(cmd_varpi, "word")),
+    "hoffman": ("quasi-shuffle closed forms", _build_hoffman),
+    "omega": ("isomorphism onto the shuffle algebra", _word_command(cmd_omega, "expr")),
+    "zeta": ("inverse isomorphism from the shuffle algebra", _word_command(cmd_zeta, "expr")),
+    "desc": ("descent algebra of the symmetric groups", _build_desc),
+    "topo": ("finite topologies", _build_topo),
+}
+
+
+def build_parser(argv=None):
+    """The parser for argv (sys.argv[1:] when None).
+
+    Every command is registered with its help text, but only the invoked
+    one, the first word of argv that names a command, gets its arguments
+    and subcommands.  No command name starts with "-", so argparse reads
+    that word as a positional; if argparse descends into a command at all,
+    it is this one.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    invoked = next((a for a in argv if a in _COMMANDS), None)
+    parser = argparse.ArgumentParser(
+        prog="gebra",
+        description="Exact algebra on words, descents, and finite topologies.",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
+    for name, (help_text, build) in _COMMANDS.items():
+        if name == invoked:
+            build(sub, name, help_text)
+        else:
+            sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         args.func(args)

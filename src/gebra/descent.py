@@ -15,10 +15,10 @@ differs from it by a triangular sum over coarsenings and is reached only
 where a formula needs it, through to_subset/from_subset: the internal
 product by Solomon's Mackey formula and the coproduct.  The symmetric
 group itself appears only when an element is printed (DescElem.expand, one
-pass over S_n) and in the n! reference routes the tests compare against:
-de_equal, de_subset, internal_product and convolution on GroupAlgElem,
-solomon_log_oracle and lie_projection_check.  Degrees stop at n = 7
-(DEGREE_BOUND).
+pass over the image tuples of S_n) and in the n! reference routes the
+tests compare against: de_equal, de_subset, internal_product and
+convolution on GroupAlgElem, solomon_log_oracle and lie_projection_check.
+Degrees stop at n = 7 (DEGREE_BOUND).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, combinations, permutations as _permutations
 from math import comb
+from operator import gt
 
 from .exactlin import (
     Fraction, InputError, LinComb, SizeBoundError, format_terms, lin_sum, parse_scalar,
@@ -53,6 +54,13 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {images}")
         self.images = images
+
+    @classmethod
+    def trusted(cls, images):
+        """The permutation with these images, a tuple known to hold 1..n once each."""
+        p = cls.__new__(cls)
+        p.images = images
+        return p
 
     @classmethod
     def identity(cls, n):
@@ -97,13 +105,13 @@ class Permutation:
         return hash(self.images)
 
     def __lt__(self, other):
-        return (self.n, self.images) < (other.n, other.images)
+        return (len(self.images), self.images) < (len(other.images), other.images)
 
     def __le__(self, other):
         return self == other or self < other
 
     def __str__(self):
-        return " ".join(str(i) for i in self.images)
+        return " ".join(map(str, self.images))
 
     def __repr__(self):
         return f"Permutation({self.images!r})"
@@ -179,6 +187,14 @@ class GroupAlgElem(_DegreeElem):
         self.terms = terms
 
     @classmethod
+    def trusted(cls, n, terms):
+        """The element with these terms, a LinComb known to hold only degree-n keys."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.terms = terms
+        return g
+
+    @classmethod
     def single(cls, p, coeff=1):
         return cls(p.n, LinComb.single(p, coeff))
 
@@ -228,6 +244,12 @@ def subset_from_composition(comp):
         total += part
         out.append(total)
     return frozenset(out)
+
+
+def _descent_flags(n, comp):
+    """The descents of the class comp as flags: position i (1..n-1) is a descent or not."""
+    S = subset_from_composition(comp)
+    return tuple(i in S for i in range(1, n))
 
 
 def composition_from_subset(n, S):
@@ -413,17 +435,20 @@ class DescElem(_DegreeElem):
         return _coarsening_sum(self.terms, signed=True)
 
     def expand(self):
-        """The underlying group algebra element, from one pass over S_n."""
+        """The underlying group algebra element, from one pass over S_n.
+
+        itertools.permutations yields the image tuples in lex order, which is
+        the order of the output; each tuple's descents are read off by
+        comparing neighbours, as the flags (images[i] > images[i+1] for each i).
+        """
         n = self.n
-        by_descents = {
-            subset_from_composition(comp) - {n}: c for comp, c in self.terms.terms.items()
-        }
+        by_flags = {_descent_flags(n, comp): c for comp, c in self.terms.terms.items()}
         terms = {}
-        for p in permutations_of(n):
-            c = by_descents.get(p.descent_set())
+        for images in _permutations(range(1, n + 1)):
+            c = by_flags.get(tuple(map(gt, images, images[1:])))
             if c is not None:
-                terms[p] = c
-        return GroupAlgElem(n, terms)
+                terms[Permutation.trusted(images)] = c
+        return GroupAlgElem.trusted(n, LinComb(terms))
 
     def internal_product(self, other):
         """The internal product by Solomon's Mackey formula on the subset basis.

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gebra.exactlin import InputError, LinComb
+from gebra.exactlin import InputError, LinComb, SizeBoundError
 from gebra.words import Alphabet, parse_tensor, parse_word
 from gebra.binfty import (
+    AXIOM_CHECK_BOUND,
     BInftyStructure,
+    axiom_check_size,
     check_axioms,
     induced_product,
     parse_bracket_file,
@@ -253,6 +255,26 @@ def test_check_axioms_reports(qs3, sh3, flalg):
     r = check_axioms(qs3, 3)
     assert r == {"unit": True, "assoc": True, "comm": True, "trivial": False}
     assert check_axioms(flalg, 4)["assoc"] is True
+
+
+def test_axiom_check_size_counts_the_visited_tuples():
+    # the words, pairs and triples that check_axioms' loops run over
+    for k in (1, 2, 3):
+        alphabet = Alphabet(",".join("abc"[:k]))
+        for budget in range(1, 6):
+            visited = sum(1 for _ in alphabet.words(budget, minlen=1))
+            for w in alphabet.words(budget - 1, minlen=1):
+                for w2 in alphabet.words(budget - len(w), minlen=1):
+                    rest = budget - len(w) - len(w2)
+                    visited += 1 + sum(1 for _ in alphabet.words(rest, minlen=1))
+            assert axiom_check_size(k, budget) == visited
+
+
+def test_check_axioms_refuses_before_enumerating(qs3):
+    # the exit codes and timings of refusals are checked in test_cli.py
+    assert axiom_check_size(3, 5) <= AXIOM_CHECK_BOUND < axiom_check_size(3, 6)
+    with pytest.raises(SizeBoundError):
+        check_axioms(qs3, 6)
 
 
 def test_check_axioms_flags_a_broken_bracket():

@@ -2,7 +2,9 @@
 
 import hashlib
 import io
+import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -960,6 +962,45 @@ def test_worst_word_at_the_bound_finishes_within_10s(table_paths):
         assert elapsed < 10.0
 
 
+@pytest.fixture(scope="module")
+def dense_table_path(tmp_path_factory):
+    """Two letters; every pair of words of total length up to 7 brackets to a + b."""
+    words = [p for n in range(1, 7) for p in itertools.product("ab", repeat=n)]
+    lines = ["mode: explicit", "alphabet: a, b", "bound: 8"]
+    lines += [f"{'.'.join(w)} , {'.'.join(w2)} -> a + b"
+              for w in words for w2 in words if len(w) + len(w2) <= 7]
+    path = tmp_path_factory.mktemp("dense") / "dense.tbl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_worst_axiom_check_at_the_bound_finishes_within_10s(dense_table_path):
+    # budget 7 on two letters visits 4346 word tuples, under AXIOM_CHECK_BOUND
+    # = 5000, and this table makes every bracket in them nonzero (2.8-3.3 s on
+    # a 2-vCPU VM, process start included)
+    code, out, err, elapsed = _timed_run("binf", "check", "--table", dense_table_path,
+                                         "--budget", "7")
+    assert code == 0, err
+    assert out == "unit: pass\nassoc: fail\ncomm: pass\ntrivial: fail\n"
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--table", "@dense", "--budget", "8"),
+    ("--table", "@qs", "--budget", "6"),
+    ("--table", "@qs", "--budget", "1000000"),
+    ("--alphabet", "a", "--budget", "9"),
+    ("--alphabet", ",".join(f"v{i}" for i in range(100)), "--budget", "2"),
+], ids=["dense 8", "qs 6", "qs 1000000", "one letter 9", "100 letters 2"])
+def test_axiom_check_past_the_bound_exits_3_within_1s(argv, table_paths, dense_table_path):
+    paths = dict(table_paths, **{"@dense": dense_table_path})
+    code, out, err, elapsed = _timed_run("binf", "check", *[paths.get(a, a) for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: size bound")
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ("topo", "lambda", "1000000"),
     ("topo", "delta2", "1000000; 1<2"),
@@ -998,3 +1039,122 @@ def test_unknown_subcommand_exits_2():
 def test_no_arguments_exits_2():
     code, out, err = run()
     assert code == 2
+
+
+# -- help, usage errors, and the modules each command executes ------------------
+
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+# argparse wraps help to the terminal width, so these runs fix it at 80 columns
+FIXED_WIDTH_ENV = dict(os.environ, COLUMNS="80", LINES="24")
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr), pinned from the
+# parser that built every subcommand up front
+USAGE_GOLDEN = [
+    (("-h",), 0, "e5c8dcbba2de96899a0c809b515e898be9c444c4bafe1c31b1d6a0da36889847", EMPTY_SHA),
+    (("desc", "-h"), 0, "486b7c82cee0c54d428662e9b66055705fcbd79ba7249201c761624df33d4393", EMPTY_SHA),
+    (("topo", "-h"), 0, "a06459d677e85012abc0867f11f5646f28ed2834ba9157af267a7352e75d594e", EMPTY_SHA),
+    (("binf", "-h"), 0, "b741523a3cc581964200366012fffa142d3137052a8691ce400b0346a8fb3602", EMPTY_SHA),
+    (("binf", "check", "-h"), 0, "d6e6a269e4672e231f0d5f64005bf16d24c751908e8822b54621b1f4ac61e5b1", EMPTY_SHA),
+    (("eulerian", "-h"), 0, "60168f370e3b17fdd669fc7a74251f81309dbaf217923f9f94c0f776694015e1", EMPTY_SHA),
+    ((), 2, EMPTY_SHA, "eb18f4602703f1d9d0aa31c1874f6ea3cb5e9a8443942bad95ac460e85657c9d"),
+    (("frobnicate",), 2, EMPTY_SHA, "bd3b54e7542233d9a2cadff34fa317597273d1e338f0730ea3ff6b092f4b821b"),
+    (("desc",), 2, EMPTY_SHA, "c6a8ade1112cdfa90c8a997b73468729da9701811c8e8ceb02d350001447c68f"),
+    (("desc", "frob", "3"), 2, EMPTY_SHA, "28be6a28dedf477535af15458dc5988056c85dff83165b36c8282aac73b202a2"),
+    (("eulerian", "--mode", "bogus", "a"), 2, EMPTY_SHA,
+     "e1902db67bd35ca89de3bf25950255c2e5d2f7568dc7dac667e08e5eff361fd3"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out_digest,err_digest", USAGE_GOLDEN,
+                         ids=[" ".join(a) or "(none)" for a, _, _, _ in USAGE_GOLDEN])
+def test_help_and_usage_errors_are_byte_identical(argv, code, out_digest, err_digest):
+    proc = subprocess.run([sys.executable, "-m", "gebra", *argv], capture_output=True,
+                          env=FIXED_WIDTH_ENV)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout).hexdigest() == out_digest
+    assert hashlib.sha256(proc.stderr).hexdigest() == err_digest
+
+
+# Runs `python -m gebra ARGV...` with an audit hook that records the gebra
+# module bodies executed, and writes their names to LOG (the first argument).
+# A lazily loaded layer executes on first attribute access, which
+# `-X importtime` does not report; the "exec" audit event does.
+CLOSURE_SCRIPT = """
+import os, runpy, sys
+ran = set()
+def hook(event, args):
+    if event == "exec":
+        path = args[0].co_filename
+        if os.path.basename(os.path.dirname(path)) == "gebra":
+            ran.add(os.path.basename(path)[:-3])
+sys.addaudithook(hook)
+log, sys.argv = sys.argv[1], ["gebra", *sys.argv[2:]]
+try:
+    runpy.run_module("gebra", run_name="__main__", alter_sys=True)
+finally:
+    with open(log, "w") as fh:
+        fh.write(" ".join(sorted(ran - {"__init__", "__main__"})))
+"""
+
+WORD_LAYERS = "binfty cli exactlin words"
+IDEM_LAYERS = "binfty cli exactlin idem words"
+# one cold run per top-level command: (argv, the layers it executes, sha256 of stdout)
+COMMAND_SMOKE = [
+    (("shuffle", "a.b", "c"), WORD_LAYERS,
+     "956a812741e125beca271cfbca5539a4493dd9cfc46e321183fed5dc094fca93"),
+    (("qshuffle", "--table", "@qs", "x1.x2", "x1"), WORD_LAYERS,
+     "6ed75ec0a05eff90a8ef421bbbfc745e14801dd9d39a61f4dd9fa2f16067f960"),
+    (("binf", "prod", "--alphabet", "a,b", "a.b", "b"), WORD_LAYERS,
+     "c2f13b7c7f1a85d3c534cfb9256a474e2f0e7f2c4678255ef96da99f105de8ce"),
+    (("eulerian", "a.b.a"), IDEM_LAYERS,
+     "a3b39c40812703d70b60538ec8bdecb91d389689b331995237871e70d7ab5c52"),
+    (("varpi", "--table", "@qs", "x1.x2"), IDEM_LAYERS,
+     "280f537d8840a30ec7f71a12c402f4856fb23959d75276803cc9d632509a7f43"),
+    (("hoffman", "exp", "--table", "@qs", "x1.x2"), IDEM_LAYERS,
+     "fb4f19e7e119082007a06cbc0c486c3d520b0e2617f5888595ef43b5af1301b5"),
+    (("omega", "a.b + b"), IDEM_LAYERS,
+     "ecfb5603dc13599ea3dd2fc06210a79be1b27c1e2e95d088fc501e0f2dc39f9b"),
+    (("zeta", "a.b.c"), IDEM_LAYERS,
+     "5509d18a8093bf49f4814cb919b67420450a64de047d36299f597fc6055ff462"),
+    (("desc", "dynkin", "4"), "cli descent exactlin words",
+     "40c934641c29f4a217d5b72c558ec228fee5071696f73d474650ee59d915198d"),
+    (("topo", "pi", "3; 1<2"), "cli exactlin topo words",
+     "92fb43fc9c03b860e53b6aebd6e658697f74359e4a9d8c29f78ec556a52e04df"),
+]
+
+
+@pytest.mark.parametrize("argv,layers,digest", COMMAND_SMOKE,
+                         ids=[" ".join(a) for a, _, _ in COMMAND_SMOKE])
+def test_each_command_executes_only_its_layers(argv, layers, digest, table_paths, tmp_path):
+    log = tmp_path / "executed.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSURE_SCRIPT, str(log), *[table_paths.get(a, a) for a in argv]],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert log.read_text() == layers
+
+
+LAYERS = ("exactlin", "words", "binfty", "idem", "descent", "topo")
+
+
+def test_importing_the_cli_registers_every_layer():
+    # what perfbench/tracer.py relies on: after `import gebra.cli` every layer
+    # is in sys.modules, and reading an attribute executes it
+    script = f"""
+import sys
+import gebra.cli
+for name in {LAYERS!r}:
+    module = sys.modules["gebra." + name]
+    assert getattr(__import__("gebra"), name) is module
+for name, attr in (("binfty", "induced_product"), ("idem", "varpi"),
+                   ("descent", "DescElem"), ("topo", "QuasiOrderClass")):
+    module = sys.modules["gebra." + name]
+    assert callable(getattr(module, attr))
+    assert attr in vars(module)
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from gebra.exactlin import InputError, LinComb, SizeBoundError
+from gebra.exactlin import InputError, LinComb, SizeBoundError, lin_sum
 from gebra.words import Alphabet, parse_word
 from gebra.descent import (
     DescElem,
@@ -218,10 +218,33 @@ def test_mackey_product_matches_internal_product():
 
 
 def test_expand_matches_de_equal():
-    for n in range(1, 6):
-        for c in compositions(n):
-            got = DescElem(n, {c: 1}).expand()
-            assert got == de_equal(n, subset_from_composition(c))
+    # every equal-basis element up to n = 6, and Solomon and Dynkin at n = 7,
+    # against the de_equal sums over validated Permutations, and back
+    elements = [DescElem(n, {c: 1}) for n in range(1, 7) for c in compositions(n)]
+    elements += [solomon_desc(7), dynkin_desc(7)]
+    for d in elements:
+        got = d.expand()
+        want = lin_sum(
+            (c, de_equal(d.n, subset_from_composition(comp)).terms)
+            for comp, c in d.terms.terms.items()
+        )
+        assert got.n == d.n
+        assert got.terms == want
+        assert DescElem.from_group_alg(got) == d
+        assert list(got.terms.terms) == sorted(want.terms)  # built in output order
+
+
+def test_trusted_permutations_equal_parsed_ones():
+    g = solomon(5)  # every permutation of 1..5 carries a coefficient
+    assert len(g.terms) == 120
+    for p in g.terms.terms:
+        q = parse_permutation(str(p))
+        assert p == q
+        assert hash(p) == hash(q)
+        assert g.coeff(q) == g.coeff(p) != 0
+        assert type(p.images) is tuple and all(type(i) is int for i in p.images)
+    assert Permutation.trusted((2, 1, 3)) == Permutation([2, 1, 3])
+    assert {Permutation.trusted((2, 1, 3)): 1}[Permutation((2, 1, 3))] == 1
 
 
 def test_descent_elements_match_their_expansions():
