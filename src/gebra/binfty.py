@@ -16,7 +16,9 @@ Fraction coefficients summed by exactlin.term_sum, and the bracket is read
 from `brackets`, an index-keyed copy of the table built once with the
 structure.  The products of suffix pairs are memoized in a dict that lives
 for one top-level call (induced_product's memo argument); no product is
-cached on the structure between calls.  Words and LinCombs appear only at
+kept on the structure between calls.  What the structure does keep,
+`letter_maps`, is gebra.idem's letter-valued varpi and zeta, a combination
+of letters per word.  Words and LinCombs appear only at
 the boundary (words.index_terms and words.word_comb), which puts the
 input's coefficients over one common denominator, so that integral
 brackets keep every intermediate sum in ints.  The Word-keyed `bracket`
@@ -65,7 +67,9 @@ EXPLICIT = "explicit"
 class BInftyStructure:
     """A bracket <-,->: T(V) x T(V) -> V presented by mode and table."""
 
-    __slots__ = ("alphabet", "mode", "mult", "table", "bound", "support", "brackets")
+    __slots__ = (
+        "alphabet", "mode", "mult", "table", "bound", "support", "brackets", "letter_maps"
+    )
 
     def __init__(self, alphabet, mode, mult=None, table=None, bound=None):
         if mode not in (SHUFFLE, QUASI_SHUFFLE, EXPLICIT):
@@ -83,6 +87,10 @@ class BInftyStructure:
         # The nonzero brackets of nonempty words for the kernel, keyed by
         # pairs of index tuples, each a tuple of (letter tuple, coefficient).
         self.brackets = {}
+        # Letter-valued maps that depend only on the structure, filled by
+        # gebra.idem (|w|! varpi(w) and |w|! zeta(w) by index tuple) and
+        # dropped with it.
+        self.letter_maps = {}
         if mode == QUASI_SHUFFLE:
             if mult is None:
                 raise InputError("quasi_shuffle mode needs a multiplication table")

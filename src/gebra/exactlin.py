@@ -191,6 +191,13 @@ class LinComb:
         self.terms = clean
 
     @classmethod
+    def trusted(cls, terms):
+        """The combination with these terms, a dict known to hold only nonzero Fractions."""
+        x = cls.__new__(cls)
+        x.terms = terms
+        return x
+
+    @classmethod
     def single(cls, key, coeff=ONE):
         return cls({key: coeff})
 
@@ -316,12 +323,17 @@ def format_terms(x, render=str):
     """Deterministic "c*key + ..." rendering shared by the printable carriers.
 
     A coefficient of exactly 1 is left implicit; everything else, including
-    -1, is printed in front of the basis key with a "*".
+    -1, is printed in front of the basis key with a "*".  A run of terms
+    that share one coefficient object renders it once, as neighbouring
+    words from words.word_comb (one Fraction per distinct value) often do.
     """
     if not x:
         return "0"
     parts = []
+    prev = label = None
     for k, c in x.items():
-        key = render(k)
-        parts.append(key if c == 1 else f"{c}*{key}")
+        if c is not prev:
+            prev = c
+            label = "" if c == 1 else f"{c}*"
+        parts.append(label + render(k))
     return " + ".join(parts)

@@ -9,24 +9,33 @@ inverse zeta admits both a direct recursion and the generic inverse of the
 coalgebra endomorphism.  For quasi-shuffle structures both specialize to
 Hoffman's logarithm and exponential in closed form.
 
-None of the sums over the 2^(n-1) block decompositions is enumerated.  They
-are recursions over cut positions with O(n^2) sub-results: e and varpi by a
-Horner scheme over prefixes of the left-folded block products (bilinearity
-only, no associativity assumed), and the lifts in omega and zeta by
-words.memo_lift.  All of them run on the word-side kernel of binfty and
-words (index tuples, plain dicts, exactlin.term_sum) over a common
-denominator: e and varpi on words of length <= n are summed as lcm(1..n)
-times their value, and the values feeding a lift as |w|! times theirs, so
-integral brackets keep every sum in ints.  Each top-level call keeps its
-own product memo and, for omega and zeta, its own varpi cache; nothing is
-cached between calls.  Hoffman's closed forms stay apart as the
-independent check on the quasi-shuffle case.
+None of the sums over the 2^(n-1) block decompositions is enumerated.  For
+the shuffle product e is read off in closed form: it is the first Eulerian
+idempotent of Q[S_n] acting by place permutation, whose coefficients depend
+only on the number of descents (the element descent.solomon(n) expands).
+e on every other structure, and varpi, are recursions over cut positions
+with O(n^2) sub-results: a Horner scheme over prefixes of the left-folded
+block products (bilinearity only, no associativity assumed); the lifts in
+omega and zeta are words.memo_lift.  All of them run on the word-side
+kernel of binfty and words (index tuples, plain dicts, exactlin.term_sum)
+over a common denominator: e on words of length <= n is summed as
+lcm(1..n) times its value, and varpi, zeta and the lifts as |w|! times
+theirs, so integral brackets keep every sum in ints.
+
+|w|! varpi(w) and |w|! zeta(w) depend only on the structure and the word,
+and each is a combination of at most |alphabet| letters: they are kept on
+the structure (BInftyStructure.letter_maps) and dropped with it.  A value
+that raised is never kept.  Everything that holds full tensors lives for
+one top-level call: the product memo and the lifts.  Hoffman's closed
+forms stay apart as the independent check on the quasi-shuffle case.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import permutations
 from math import comb, factorial, lcm
+from operator import gt
 
 from .exactlin import Fraction, InputError, LinComb, reduced, term_sum
 from .words import (
@@ -38,7 +47,7 @@ from .words import (
     structure_endo,
     word_comb,
 )
-from .binfty import QUASI_SHUFFLE, BInftyStructure, induced_product, product_terms
+from .binfty import QUASI_SHUFFLE, SHUFFLE, BInftyStructure, induced_product, product_terms
 
 
 def _letter_part(x):
@@ -108,21 +117,80 @@ def _varpi_terms(B, w, memo, scale):
     return term_sum(parts)
 
 
+@cache
+def _inverse_descents(n):
+    """For each tau of itertools.permutations(range(n)), in that order, the
+    number of descents of its inverse (the i with i + 1 placed before i),
+    as bytes: n! of them, 5040 bytes at n = 7."""
+    out = bytearray()
+    for tau in permutations(range(n)):
+        places = sorted(range(n), key=tau.__getitem__)
+        out.append(sum(map(gt, places, places[1:])))
+    return bytes(out)
+
+
+def _shuffle_eulerian_terms(w, scale):
+    """scale * e(w) for the shuffle product, as (index tuple, coefficient) items.
+
+    e is the first Eulerian idempotent of Q[S_n] acting by place
+    permutation: letter i of w goes to place sigma(i), with coefficient
+    (-1)^d / (n C(n-1, d)), d the number of descents of sigma (Reutenauer,
+    Free Lie Algebras, ch. 3).  A permuted word w[tau(0)]...w[tau(n-1)] is
+    placed by sigma = tau^-1, and n C(n-1, d) divides lcm(1..n), which
+    divides scale.  Repeated letters give repeated words, which the caller's
+    term_sum merges.
+    """
+    n = len(w)
+    if n == 0:
+        return ()
+    coeffs = [(-1) ** d * (scale // (n * comb(n - 1, d))) for d in range(n)]
+    return zip(permutations(w), map(coeffs.__getitem__, _inverse_descents(n)))
+
+
 def eulerian_idempotent(B, x):
     """The canonical idempotent e of the induced Hopf product.
 
     On a word of length n it is the sum over k = 1..n and over all
     decompositions into k nonempty blocks of (-1)^(k-1)/k times the induced
-    product of the blocks.  It kills the unit word and fixes letters.
+    product of the blocks.  It kills the unit word and fixes letters.  For
+    the shuffle product this sum is read off in closed form.
     """
     alphabet, terms, d = B.index_terms(x)
     scale = lcm(*range(1, max(map(len, terms), default=0) + 1))
-    memo = {}
-    out = term_sum(
-        (c, _left_fold_sum(B, w, _signed_reciprocals(len(w), scale), memo).items())
-        for w, c in terms.items()
-    )
+    if B.mode == SHUFFLE:
+        out = term_sum((c, _shuffle_eulerian_terms(w, scale)) for w, c in terms.items())
+    else:
+        memo = {}
+        out = term_sum(
+            (c, _left_fold_sum(B, w, _signed_reciprocals(len(w), scale), memo).items())
+            for w, c in terms.items()
+        )
     return word_comb(alphabet, out, d * scale)
+
+
+def _kept(B, name, compute):
+    """compute on index tuples, its values kept on B under name.
+
+    Only a value that was computed is kept: a call that raises, such as an
+    explicit table evaluated past its bound, stores nothing and raises the
+    same way on the next call.
+    """
+    values = B.letter_maps.setdefault(name, {})
+
+    def kept(w):
+        hit = values.get(w)
+        if hit is None:
+            hit = values[w] = compute(w)
+        return hit
+
+    return kept
+
+
+def _scaled_varpi(B):
+    """|w|! varpi(w) on index tuples, kept on B; the products it makes on
+    the way are memoized for as long as this function is."""
+    products = {}
+    return _kept(B, "varpi", lambda w: _varpi_terms(B, w, products, factorial(len(w))))
 
 
 def varpi(B, x):
@@ -131,17 +199,7 @@ def varpi(B, x):
     Evaluates as the alternating sum of brackets <w1, w2 * ... * wk> over
     block decompositions; the one-block term is the projection onto V.
     """
-    alphabet, terms, d = B.index_terms(x)
-    scale = lcm(*range(1, max(map(len, terms), default=0) + 1))
-    memo = {}
-    out = term_sum((c, _varpi_terms(B, w, memo, scale).items()) for w, c in terms.items())
-    return word_comb(alphabet, out, d * scale)
-
-
-def _cached_varpi(B):
-    """|w|! varpi(w) on index tuples, cached for as long as it is kept."""
-    products = {}
-    return cache(lambda w: _varpi_terms(B, w, products, factorial(len(w))))
+    return lift_comb(_scaled_varpi(B), *B.index_terms(x))
 
 
 class TangentEndo:
@@ -210,7 +268,7 @@ def omega_tilde(B, x, endo=None):
     if not x:
         return x
     if endo is None:
-        return lift_comb(memo_lift(_cached_varpi(B)), *B.index_terms(x))
+        return lift_comb(memo_lift(_scaled_varpi(B)), *B.index_terms(x))
     if not endo.verify(B):
         raise InputError("not tangent to identity")
     return structure_endo(lambda w: _letter_part(endo(w)), x)
@@ -226,10 +284,9 @@ def zeta_tilde(B, x):
     x = as_tensor(x)
     if not x:
         return x
-    vp = _cached_varpi(B)
+    vp = _scaled_varpi(B)
 
-    @cache
-    def zeta(t):
+    def scaled_zeta(t):
         """|t|! zeta(t), scaled as memo_lift expects."""
         n = len(t)
         if n == 1:
@@ -244,6 +301,7 @@ def zeta_tilde(B, x):
         )
         return apply_scaled(vp, patterns)
 
+    zeta = _kept(B, "zeta", scaled_zeta)
     lift = memo_lift(zeta)
     return lift_comb(lift, *B.index_terms(x))
 

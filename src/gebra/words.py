@@ -35,8 +35,9 @@ from .exactlin import (
 IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # Longest word (for products: total length of both factors) that the
-# word-side commands accept.  At the bound, the slowest case is the Eulerian
-# idempotent of eight distinct letters in shuffle mode (see README.md).
+# word-side commands accept.  At the bound, the slowest shuffle or
+# quasi-shuffle case measured is the Eulerian idempotent of eight distinct
+# letters under a quasi-shuffle product (see README.md).
 WORD_BOUND = 8
 
 
@@ -191,7 +192,7 @@ class Word:
     def __str__(self):
         if not self.idx:
             return "1"
-        return ".".join(self.alphabet.letters[i] for i in self.idx)
+        return ".".join(map(self.alphabet.letters.__getitem__, self.idx))
 
     def __repr__(self):
         return f"Word({str(self)!r})"
@@ -420,9 +421,22 @@ def index_terms(x):
 
 
 def word_comb(alphabet, terms, d):
-    """The combination of words over alphabet whose coefficients are terms / d."""
+    """The combination of words over alphabet whose coefficients are terms / d.
+
+    The words are stored in their printed order, length first, then letter
+    indices, sorted on the index tuples, so that LinComb.items finds them
+    already sorted; each distinct coefficient becomes one Fraction.
+    """
     word = Word._trusted
-    return LinComb({word(alphabet, t): Fraction(v, d) for t, v in terms.items()})
+    fractions = {}
+    out = {}
+    for t in sorted(sorted(terms), key=len):
+        v = terms[t]
+        c = fractions.get(v)
+        if c is None:
+            c = fractions[v] = Fraction(v, d)
+        out[word(alphabet, t)] = c
+    return LinComb.trusted(out)
 
 
 def prefixed(u, x):
@@ -461,7 +475,8 @@ def memo_lift(phi):
 
 
 def lift_comb(lift, alphabet, terms, d):
-    """A lift made by memo_lift applied to terms / d, as words over alphabet."""
+    """A lift made by memo_lift, or any map scaled as its phi is, applied
+    to terms / d, as words over alphabet."""
     top = factorial(max(map(len, terms), default=0))
     out = term_sum((c * (top // factorial(len(t))), lift(t).items()) for t, c in terms.items())
     return word_comb(alphabet, out, d * top)

@@ -132,6 +132,15 @@ def test_format_terms_sorted_and_unit_coefficients():
     assert format_terms(LinComb.zero()) == "0"
 
 
+def test_format_terms_renders_shared_and_distinct_coefficients_alike():
+    half = Fraction(1, 2)
+    shared = LinComb({"d": half, "a": half, "c": Fraction(1), "b": half, "e": Fraction(-1)})
+    distinct = LinComb(
+        {"d": Fraction(2, 4), "a": Fraction(1, 2), "c": Fraction(1), "b": Fraction(1, 2), "e": Fraction(-1)}
+    )
+    assert format_terms(shared) == format_terms(distinct) == "1/2*a + 1/2*b + c + 1/2*d + -1*e"
+
+
 def test_tensor_pair_is_bilinear():
     x = LinComb({"a": Fraction(2)})
     y = LinComb({"u": Fraction(3), "v": Fraction(1)})

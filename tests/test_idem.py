@@ -350,3 +350,180 @@ def test_mixed_alphabets_raise(qs3, sh3, alph3):
     for fn in (eulerian_idempotent, varpi, omega_tilde, zeta_tilde):
         with pytest.raises(InputError, match="different alphabets"):
             fn(qs3, parse_word("x1.y", other))
+
+
+# -- the shuffle closed form of e against the fold route and the descent layer
+
+
+def left_fold_eulerian(B, x):
+    """e(x) by the cut recursion over left-folded block products, the route
+    every structure other than the shuffle still takes."""
+    from math import lcm
+
+    from gebra.exactlin import term_sum
+    from gebra.idem import _left_fold_sum, _signed_reciprocals
+    from gebra.words import word_comb
+
+    alphabet, terms, d = B.index_terms(x)
+    scale = lcm(*range(1, max(map(len, terms), default=0) + 1))
+    memo = {}
+    out = term_sum(
+        (c, _left_fold_sum(B, w, _signed_reciprocals(len(w), scale), memo).items())
+        for w, c in terms.items()
+    )
+    return word_comb(alphabet, out, d * scale)
+
+
+def _standard_word(n):
+    from gebra.binfty import BInftyStructure
+    from gebra.words import Alphabet
+
+    B = BInftyStructure.shuffle(Alphabet(", ".join(f"l{i}" for i in range(1, n + 1))))
+    return B, parse_word(".".join(B.alphabet.letters), B.alphabet)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shuffle_closed_form_matches_the_fold_on_standard_words(n):
+    B, w = _standard_word(n)
+    e = eulerian_idempotent(B, w)
+    assert e == left_fold_eulerian(B, w)
+    assert len(e) == [1, 2, 6, 24, 120, 720, 5040][n - 1]
+
+
+def test_shuffle_closed_form_matches_the_fold_on_three_letters(sh3):
+    """Every word of length <= 6 over three letters, repeated letters
+    merging and cancelling, then rational combinations with the unit word."""
+    import random
+
+    corpus = list(sh3.alphabet.words(6))
+    for w in corpus:
+        assert eulerian_idempotent(sh3, w) == left_fold_eulerian(sh3, w), w
+    assert eulerian_idempotent(sh3, sh3.alphabet.empty_word()) == LinComb.zero()
+    rng = random.Random(9)
+    coeffs = [Fraction(-1), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(7)]
+    for _ in range(60):
+        x = LinComb.zero()
+        for w in rng.sample(corpus, rng.randint(1, 4)):
+            x = x + LinComb.single(w, rng.choice(coeffs))
+        assert eulerian_idempotent(sh3, x) == left_fold_eulerian(sh3, x), x
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shuffle_closed_form_is_solomons_idempotent(n):
+    """On distinct letters e is descent.solomon(n) acting by place
+    permutation: letter i goes to place p(i), with the coefficient of p.
+    Permutation.act reads letter p(j) into place j, hence the inverse."""
+    from gebra import descent
+
+    B, w = _standard_word(n)
+    expected = LinComb({p.inverse().act(w): c for p, c in descent.solomon(n).terms.items()})
+    assert eulerian_idempotent(B, w) == expected
+
+
+# -- varpi and zeta kept on the structure -------------------------------------
+
+
+def _word_side_ops(rng, structures, count):
+    """A seeded mix of omega, zeta, varpi, e and prod ops over structures."""
+    kinds = ("omega", "zeta", "varpi", "eulerian", "prod")
+    ops = []
+    for _ in range(count):
+        name = rng.choice(sorted(structures))
+        letters = structures[name].alphabet.letters
+        word = ".".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        ops.append((rng.choice(kinds), name, word))
+    return ops
+
+
+def _run_word_side_op(B, kind, text):
+    from gebra.exactlin import AlgebraError, format_terms
+
+    w = parse_word(text, B.alphabet)
+    try:
+        if kind == "prod":
+            x = induced_product(B, w[:2], w[2:])
+        elif kind == "zeta":
+            x = zeta_tilde(B, omega_tilde(B, w) + LinComb.single(w, Fraction(1, 3)))
+        else:
+            x = {"omega": omega_tilde, "varpi": varpi, "eulerian": eulerian_idempotent}[kind](B, w)
+    except AlgebraError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return format_terms(x)
+
+
+def _fresh(B):
+    """A new structure with B's table, so nothing B keeps is shared."""
+    from gebra.binfty import EXPLICIT, BInftyStructure
+
+    if B.mode == EXPLICIT:
+        return BInftyStructure.explicit(B.alphabet, B.table, bound=B.bound)
+    return BInftyStructure(B.alphabet, B.mode, mult=B.mult)
+
+
+def test_kept_values_print_the_same_bytes_cold_warm_and_reversed(random_tables):
+    import random
+
+    from gebra.binfty import parse_bracket_file
+
+    texts = {
+        "nonassoc": NONASSOC_TABLE,
+        "bound2": NONASSOC_TABLE.replace("bound: 6", "bound: 2"),
+        "qs": "mode: qshuffle\nalphabet: x:1, y:2\nx * x = y\nx * y = y\ny * x = y\ny * y = y\n",
+        "sh": "mode: shuffle\nalphabet: a, b, c\n",
+    }
+    tables = {name: parse_bracket_file(text) for name, text in texts.items()}
+    tables.update((f"random{i}", B) for i, B in enumerate(random_tables[:3]))
+    ops = _word_side_ops(random.Random(11), tables, 400)
+    cold = [_run_word_side_op(_fresh(tables[name]), kind, w) for kind, name, w in ops]
+    assert any(out.startswith("InputError") for out in cold)
+    warm = {name: _fresh(B) for name, B in tables.items()}
+    assert [_run_word_side_op(warm[name], kind, w) for kind, name, w in ops] == cold
+    assert [_run_word_side_op(warm[name], kind, w) for kind, name, w in ops] == cold
+    rev = {name: _fresh(B) for name, B in tables.items()}
+    assert [_run_word_side_op(rev[name], kind, w) for kind, name, w in reversed(ops)] == cold[::-1]
+    for B in warm.values():
+        assert set(B.letter_maps) == {"varpi", "zeta"}
+        for values in B.letter_maps.values():
+            for value in values.values():
+                assert all(len(u) == 1 for u in value)
+                assert len(value) <= len(B.alphabet)
+
+
+def test_an_error_is_never_kept():
+    from gebra.binfty import parse_bracket_file
+
+    B = parse_bracket_file(NONASSOC_TABLE.replace("bound: 6", "bound: 2"))
+    past = parse_word("b.a.a.b", B.alphabet)
+    fits = parse_word("a.b.a", B.alphabet)
+    for fn in (varpi, omega_tilde, zeta_tilde):
+        fresh = parse_bracket_file(NONASSOC_TABLE.replace("bound: 6", "bound: 2"))
+        with pytest.raises(InputError) as first:
+            fn(fresh, past)
+        for _ in range(3):
+            fn(B, fits)
+            with pytest.raises(InputError) as again:
+                fn(B, past)
+            assert str(again.value) == str(first.value)
+        for values in B.letter_maps.values():
+            assert past.idx not in values
+
+
+def test_structures_never_share_kept_values():
+    from gebra.binfty import BInftyStructure
+    from gebra.words import Alphabet
+
+    alphabet = Alphabet("a, b")
+    a, b = alphabet.word("a"), alphabet.word("b")
+    tables = [
+        {(a, a): LinComb.single(b)},
+        {(a, a): LinComb.single(a, Fraction(-2)), (a, b): LinComb.single(b)},
+    ]
+    first, second = (BInftyStructure.explicit(alphabet, t, bound=4) for t in tables)
+    corpus = list(alphabet.words(4, minlen=1))
+    for fn in (varpi, omega_tilde, zeta_tilde):
+        seen = [fn(first, w) for w in corpus]
+        after = [fn(second, w) for w in corpus]
+        cold = [fn(BInftyStructure.explicit(alphabet, tables[1], bound=4), w) for w in corpus]
+        assert after == cold
+        assert after != seen
+    assert first.letter_maps is not second.letter_maps

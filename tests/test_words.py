@@ -22,6 +22,7 @@ from gebra.words import (
     parse_word,
     reduced_coproduct_iter,
     structure_endo,
+    word_comb,
 )
 
 
@@ -63,6 +64,15 @@ def test_word_basics(ab):
 def test_word_order_is_by_length_then_index(ab):
     ws = [parse_word(t, ab) for t in ("b", "a.a", "a", "1", "b.a")]
     assert [str(w) for w in sorted(ws)] == ["1", "a", "b", "a.a", "b.a"]
+
+
+def test_word_comb_stores_words_in_printed_order_with_one_fraction_per_value(ab):
+    terms = {(1, 0): 2, (0,): 2, (0, 1, 1): -3, (1,): 2, (0, 0): 4, (1, 1): -3}
+    x = word_comb(ab, terms, 4)
+    assert x == LinComb({Word(ab, t): Fraction(v, 4) for t, v in terms.items()})
+    assert list(x.terms.items()) == x.items()
+    assert len({id(c) for c in x.terms.values()}) == 3
+    assert format_terms(x) == "1/2*a + 1/2*b + a.a + 1/2*b.a + -3/4*b.b + -3/4*a.b.b"
 
 
 def test_parse_word_errors(ab):
