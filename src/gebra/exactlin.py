@@ -33,10 +33,13 @@ ONE = Fraction(1)
 
 
 def parse_scalar(text):
-    """Parse "p/q" (or "p") into a Fraction.  Decimal notation is rejected."""
+    """Parse "p/q" (or "p") into a Fraction.  Decimal and exponent notation,
+    digit underscores and non-ASCII digits are rejected."""
     text = text.strip()
     if "." in text:
         raise InputError(f"bad scalar {text!r}: decimal notation not accepted")
+    if "e" in text or "E" in text or "_" in text or not text.isascii():
+        raise InputError(f"bad scalar {text!r}: write an integer p or a fraction p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -20,10 +20,13 @@ e = (lambda (x) Id) o delta.
 
 Every operation depends only on the isoclass of its input, so each one is
 computed once per class: the routes below are memoized on the class key in
-module-level `*_MEMO` dicts (canonical forms are memoized on the labeled
-input as well).  Reads are concurrency-safe and insertions idempotent, so
-racing threads can only repeat work, never corrupt a result.  Memoized
-results are shared objects: nothing may mutate them.
+module-level `*_MEMO` dicts through `_per_class` (canonical forms are
+memoized on the labeled input as well).  The basis in degree n,
+`all_isoclasses(n)`, is grown by one-point extension from degree n - 1 and
+cached per n by `functools.cache`.  Reads are concurrency-safe and
+insertions idempotent, so racing threads can only repeat work, never
+corrupt a result.  Memoized results are shared objects: nothing may mutate
+them.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import functools
 from itertools import combinations, product as _product
 from math import comb
+from operator import index
 
 from .exactlin import (
     ONE,
@@ -48,7 +52,7 @@ CANON_BOUND = 8
 OPENS_BOUND = 15
 DELTA_BOUND = 7
 EULER_BOUND = 6
-ISO_BOUND = 5
+ISO_BOUND = 6
 
 
 class QuasiOrder:
@@ -1058,59 +1062,44 @@ def closed_form_e(kind, n):
 
 # -- isoclass enumeration ----------------------------------------------------
 
-_POSET_MEMO = {}
-_ISO_MEMO = {}
-
-
-def _labeled_posets(k):
-    """All partial orders on {0..k-1}: orientation choices filtered by transitivity."""
-    hit = _POSET_MEMO.get(k)
-    if hit is not None:
-        return hit
-    pairs = list(combinations(range(k), 2))
-    out = []
-    for choice in _product((0, 1, 2), repeat=len(pairs)):
-        rows = [1 << i for i in range(k)]
-        for (i, j), c in zip(pairs, choice):
-            if c == 1:
-                rows[i] |= 1 << j
-            elif c == 2:
-                rows[j] |= 1 << i
-        q = QuasiOrder(k, rows)
-        if q.rows == rows:
-            out.append(q)
-    _POSET_MEMO[k] = out
-    return out
-
 
 def all_isoclasses(n):
-    """Every topology isoclass on n points: partitions into classes times
-    partial orders on the classes."""
+    """Every topology isoclass on n points, sorted by key, as a shared tuple."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InputError(f"vertex count {n!r} is not an integer") from None
     if n > ISO_BOUND:
         raise SizeBoundError(f"size bound: isoclass enumeration stops at n = {ISO_BOUND}")
     if n < 0:
         raise InputError("negative vertex count")
-    hit = _ISO_MEMO.get(n)
-    if hit is not None:
-        return hit
-    seen = {}
-    for p in set_partitions(n):
-        masks = p.masks()
-        k = len(masks)
-        for P in _labeled_posets(k):
-            rows = [0] * n
-            for b in range(k):
-                below = 0
-                for b2 in range(k):
-                    if (P.rows[b] >> b2) & 1:
-                        below |= masks[b2]
-                m = masks[b]
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    rows[v] = below
-                    m &= m - 1
-            tc = canonicalize(QuasiOrder(n, rows))
-            seen[tc.key] = tc
-    out = sorted(seen.values())
-    _ISO_MEMO[n] = out
-    return out
+    return _isoclasses(n)
+
+
+@functools.cache
+def _isoclasses(n):
+    """Every topology minus a vertex is a topology, so the classes on n
+    points are the one-point extensions of those on n - 1 (a set of classes
+    merges repeats on the key)."""
+    if n == 0:
+        return (canonicalize(QuasiOrder(0)),)
+    return tuple(sorted({
+        canonicalize(QuasiOrder.closed(n, rows))
+        for tc in _isoclasses(n - 1)
+        for rows in _one_point_extensions(tc.q)
+    }))
+
+
+def _one_point_extensions(q):
+    """Rows of q plus a vertex q.n placed below an open set U and above a
+    down-set D, for each pair with every vertex of D below all of U; the
+    rows come out reflexive and transitive."""
+    rows = q.rows
+    bit = 1 << q.n
+    opens = q.open_mask_list()
+    for U in opens:
+        below = sum(1 << d for d, r in enumerate(rows) if r & U == U)
+        for O in opens:
+            D = q.full_mask ^ O
+            if not D & ~below:
+                yield [r | bit if (D >> i) & 1 else r for i, r in enumerate(rows)] + [U | bit]

@@ -1029,6 +1029,13 @@ def test_malformed_input_exit_code():
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("expr", ["1e-3*a.b", "1E3*a", "1_000*a.b", "1_000", "\u0663*a.b"])
+def test_exponent_underscore_and_non_ascii_scalars_exit_2(expr):
+    code, out, err = run("omega", "--alphabet", "a,b", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad scalar")
+
+
 def test_unknown_subcommand_exits_2():
     code, out, err = run("frobnicate")
     assert code == 2

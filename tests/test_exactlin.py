@@ -42,6 +42,12 @@ def test_parse_scalar_rejects_decimals_and_zero_divisor():
         parse_scalar("one")
 
 
+@pytest.mark.parametrize("text", ["1e-3", "1E3", "2e0/3", "1/1e2", "1_000", "1/1_0", "\u0663", "1/\uff12"])
+def test_parse_scalar_rejects_exponents_underscores_and_non_ascii_digits(text):
+    with pytest.raises(InputError, match="bad scalar"):
+        parse_scalar(text)
+
+
 def test_scalar_div_zero_divisor():
     assert scalar_div(Fraction(1), Fraction(2)) == Fraction(1, 2)
     with pytest.raises(InputError, match="zero divisor"):

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -200,10 +202,90 @@ def test_partition_validation():
         Partition(3, ((0, 1), ()))
 
 
+# Topologies on n points up to homeomorphism, n = 0..7 (OEIS A001930).
+A001930 = (1, 1, 3, 9, 33, 139, 718, 4535)
+
+
 def test_isoclass_counts():
-    assert [len(all_isoclasses(n)) for n in range(6)] == [1, 1, 3, 9, 33, 139]
+    upto = topo.ISO_BOUND + 1
+    assert [len(all_isoclasses(n)) for n in range(upto)] == list(A001930[:upto])
     with pytest.raises(SizeBoundError, match="size bound"):
-        all_isoclasses(6)
+        all_isoclasses(upto)
+
+
+def test_isoclasses_at_the_bound_finish_within_3s():
+    """A fresh process, start included, lists every class at ISO_BOUND."""
+    script = "import gebra.topo as t; print(len(t.all_isoclasses(t.ISO_BOUND)))"
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    elapsed = time.monotonic() - t0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) == A001930[topo.ISO_BOUND]
+    assert elapsed < 3.0
+
+
+@functools.cache
+def labeled_partial_orders(k):
+    """All partial orders on {0..k-1}: orientation choices filtered by transitivity."""
+    pairs = list(itertools.combinations(range(k), 2))
+    out = []
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = [1 << i for i in range(k)]
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                rows[i] |= 1 << j
+            elif c == 2:
+                rows[j] |= 1 << i
+        q = QuasiOrder(k, rows)
+        if q.rows == rows:
+            out.append(q)
+    return out
+
+
+def isoclass_keys_oracle(n):
+    """Sorted class keys on n points: every set partition into equivalence
+    classes times every partial order on the classes."""
+    seen = set()
+    for p in set_partitions(n):
+        masks = p.masks()
+        k = len(masks)
+        for P in labeled_partial_orders(k):
+            rows = [0] * n
+            for b in range(k):
+                below = 0
+                for b2 in range(k):
+                    if (P.rows[b] >> b2) & 1:
+                        below |= masks[b2]
+                for v in p.blocks[b]:
+                    rows[v] = below
+            seen.add(canonicalize(QuasiOrder(n, rows)).key)
+    return tuple(sorted(seen))
+
+
+def test_isoclasses_match_the_partition_orientation_oracle():
+    for n in range(6):
+        assert tuple(tc.key for tc in all_isoclasses(n)) == isoclass_keys_oracle(n)
+
+
+def test_one_point_extensions_are_already_closed():
+    for n in range(5):
+        for tc in all_isoclasses(n):
+            for rows in topo._one_point_extensions(tc.q):
+                assert len(rows) == n + 1
+                assert QuasiOrder(n + 1, rows).rows == rows
+
+
+def test_all_isoclasses_checks_its_argument_and_shares_a_tuple():
+    before = topo._isoclasses.cache_info()
+    for bad in (2.5, -1, "3", None):
+        with pytest.raises(InputError):
+            all_isoclasses(bad)
+    with pytest.raises(SizeBoundError):
+        all_isoclasses(10**9)
+    assert topo._isoclasses.cache_info() == before
+    classes = all_isoclasses(3)
+    assert isinstance(classes, tuple)
+    assert all_isoclasses(3) is classes
 
 
 def test_restrict_blocks_and_quotient():
