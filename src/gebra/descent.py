@@ -573,7 +573,7 @@ def desc_coproduct(d):
     with a + b = ij, zero parts being dropped.  Returns a linear
     combination keyed by pairs (left composition, right composition).
     """
-    return lin_sum((c, _splits(comp)) for comp, c in d.to_subset().terms.items())
+    return d.to_subset().apply(_splits)
 
 
 @cache

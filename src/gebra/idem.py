@@ -336,7 +336,4 @@ def hoffman_exp(mult, w):
     n = len(w)
     if n == 0:
         return LinComb.zero()
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return Fraction(1, fact) * _fold_mult(mult, w)
+    return Fraction(1, factorial(n)) * _fold_mult(mult, w)

@@ -19,19 +19,19 @@ its integral lambda over [-1, 0], and the Eulerian idempotent
 e = (lambda (x) Id) o delta.
 
 Every operation depends only on the isoclass of its input, so each one is
-computed once per class: the routes below are memoized on the class key in
-module-level `*_MEMO` dicts through `_per_class` (canonical forms are
-memoized on the labeled input as well).  The basis in degree n,
-`all_isoclasses(n)`, is grown by one-point extension from degree n - 1 and
-cached per n by `functools.cache`.  Reads are concurrency-safe and
-insertions idempotent, so racing threads can only repeat work, never
-corrupt a result.  Memoized results are shared objects: nothing may mutate
-them.
+computed once per class: the class routes below are `functools.cache`d on
+the QuasiOrderClass, which hashes and compares by its key.  Canonical
+forms are memoized on the labeled input as well, in the one dict
+`_CANON_MEMO`.  The basis in degree n, `all_isoclasses(n)`, is grown by
+one-point extension from degree n - 1 and cached per n.  Reads are
+concurrency-safe and insertions idempotent, so racing threads can only
+repeat work, never corrupt a result.  Memoized results are shared objects:
+nothing may mutate them.
 """
 
 from __future__ import annotations
 
-import functools
+from functools import cache, reduce
 from itertools import combinations, product as _product
 from math import comb
 from operator import index
@@ -55,6 +55,14 @@ EULER_BOUND = 6
 ISO_BOUND = 6
 
 
+def _vertex_count(n):
+    """n as an int through operator.index, so 2.5 or "3" is refused."""
+    try:
+        return index(n)
+    except TypeError:
+        raise InputError(f"vertex count {n!r} is not an integer") from None
+
+
 class QuasiOrder:
     """A reflexive transitive relation on {0..n-1}, bit j of rows[i] = (i <= j).
 
@@ -65,7 +73,7 @@ class QuasiOrder:
     __slots__ = ("n", "rows")
 
     def __init__(self, n, rows=None):
-        n = int(n)
+        n = _vertex_count(n)
         if n < 0:
             raise InputError("negative vertex count")
         self.n = n
@@ -276,22 +284,6 @@ def parse_topology(text):
 _CANON_MEMO = {}
 
 
-def _per_class(memo):
-    """Memoize a route f(tc) in the table memo, keyed by the isoclass."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def route(tc):
-            hit = memo.get(tc.key)
-            if hit is None:
-                hit = memo[tc.key] = fn(tc)
-            return hit
-
-        return route
-
-    return wrap
-
-
 class QuasiOrderClass:
     """A topology up to homeomorphism: the lex-least relation matrix.
 
@@ -455,6 +447,7 @@ def discrete(n):
 
 def ladder(n):
     """The chain on n vertices."""
+    n = _vertex_count(n)
     if n < 1:
         raise InputError("a ladder has at least one vertex")
     _check_vertex_count(n)
@@ -464,6 +457,7 @@ def ladder(n):
 
 def corolla(n):
     """One minimal vertex below n-1 pairwise incomparable ones."""
+    n = _vertex_count(n)
     if n < 2:
         raise InputError("a corolla has at least two vertices")
     _check_vertex_count(n)
@@ -494,10 +488,7 @@ def topo_name(tc):
     return None
 
 
-_RENDER_MEMO = {}
-
-
-@_per_class(_RENDER_MEMO)
+@cache
 def render_topo(tc):
     """Short name when there is one, else the grammar text in brackets
     (the text contains commas, so it is fenced off inside term lists)."""
@@ -526,7 +517,7 @@ class Partition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n, blocks):
-        n = int(n)
+        n = _vertex_count(n)
         norm = []
         seen = 0
         for b in blocks:
@@ -699,16 +690,12 @@ def ec_partitions(q):
 # -- the two coproducts ------------------------------------------------------
 
 
-_OPEN_SPLIT_MEMO = {}
-_EC_SPLIT_MEMO = {}
-
-
 def coproduct_Delta(t):
     """Split along open sets: sum of (complement part, open part)."""
     return _Delta_class(as_class(t))
 
 
-@_per_class(_OPEN_SPLIT_MEMO)
+@cache
 def _Delta_class(tc):
     q = tc.q
     full = q.full_mask
@@ -745,7 +732,7 @@ def coproduct_delta(t):
     return _delta_class(tc)
 
 
-@_per_class(_EC_SPLIT_MEMO)
+@cache
 def _delta_class(tc):
     return lin_sum(
         (ONE, {(canonicalize(quot), canonicalize(restr)): ONE}) for quot, restr in _ec_splits(tc.q)
@@ -761,29 +748,27 @@ def eps_delta(t):
 # -- products ----------------------------------------------------------------
 
 
-def product_m(x, y):
-    """Disjoint union, extended bilinearly."""
+def _bilinear(op, x, y):
+    """op on the quasi-orders of the classes, extended bilinearly."""
     x, y = as_topo_elem(x), as_topo_elem(y)
     return lin_sum(
-        (ca * cb, {canonicalize(a.q.disjoint_union(b.q)): ONE})
+        (ca * cb, {canonicalize(op(a.q, b.q)): ONE})
         for a, ca in x.terms.items()
         for b, cb in y.terms.items()
     )
+
+
+def product_m(x, y):
+    """Disjoint union, extended bilinearly."""
+    return _bilinear(QuasiOrder.disjoint_union, x, y)
 
 
 def down_product(x, y):
     """Stacking product, extended bilinearly."""
-    x, y = as_topo_elem(x), as_topo_elem(y)
-    return lin_sum(
-        (ca * cb, {canonicalize(a.q.down(b.q)): ONE})
-        for a, ca in x.terms.items()
-        for b, cb in y.terms.items()
-    )
+    return _bilinear(QuasiOrder.down, x, y)
 
 
 # -- the infinitesimal projector and the bracket -----------------------------
-
-_PI_MEMO = {}
 
 
 def inf_pi(x):
@@ -798,37 +783,18 @@ def inf_pi(x):
     x = as_topo_elem(x)
     if any(tc.n == 0 for tc in x.terms):
         raise InputError("not augmentation-reduced")
-    return lin_sum((c, _pi_class(tc)) for tc, c in x.terms.items())
-
-
-@_per_class(_PI_MEMO)
-def _pi_class(tc):
-    return -_antipode_class(tc)
-
-
-def _fold(op, factors):
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = op(acc, f)
-    return acc
-
-
-def _down_fold(elems):
-    acc = LinComb.single(unit_class())
-    for e in elems:
-        acc = down_product(acc, e)
-    return acc
+    return lin_sum((-c, _antipode_class(tc)) for tc, c in x.terms.items())
 
 
 def binf_bracket(xs, ys):
     """pi((x1 down ... down xk)(y1 down ... down yl)) on lists of primitives."""
-    return inf_pi(product_m(_down_fold(xs), _down_fold(ys)))
+    one = LinComb.single(unit_class())
+    left = reduce(down_product, xs, one)
+    right = reduce(down_product, ys, one)
+    return inf_pi(product_m(left, right))
 
 
 # -- Upsilon and lambda ------------------------------------------------------
-
-_UPSILON_MEMO = {}
-
 
 def upsilon(t, method="recursive"):
     """The polynomial invariant; both methods agree.
@@ -849,7 +815,7 @@ def upsilon(t, method="recursive"):
     raise InputError(f"unknown method {method!r}")
 
 
-@_per_class(_UPSILON_MEMO)
+@cache
 def _upsilon_rec(tc):
     q = tc.q
     cls_masks = [sum(1 << v for v in c) for c in q.classes()]
@@ -940,11 +906,6 @@ def _lambda_delta_series(tc):
 
 # -- Eulerian idempotent -----------------------------------------------------
 
-_E_MEMO = {}
-_E_DIRECT_MEMO = {}
-_PIEUL_MEMO = {}
-
-
 def _check_euler_bound(x):
     if any(tc.n > EULER_BOUND for tc in x.terms):
         raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
@@ -965,10 +926,10 @@ def eulerian_e(t, method="via_delta"):
         raise InputError(f"unknown method {method!r}")
     x = as_topo_elem(t)
     _check_euler_bound(x)
-    return lin_sum((c, route(tc)) for tc, c in x.terms.items())
+    return x.apply(route)
 
 
-@_per_class(_E_MEMO)
+@cache
 def _e_class(tc):
     return lin_sum(
         (lam, {canonicalize(restr): ONE})
@@ -977,11 +938,11 @@ def _e_class(tc):
     )
 
 
-@_per_class(_E_DIRECT_MEMO)
+@cache
 def _e_direct(tc):
     q = tc.q
     return lin_sum(
-        (Fraction((-1) ** (k - 1), k), {canonicalize(_fold(QuasiOrder.disjoint_union, tup)): ONE})
+        (Fraction((-1) ** (k - 1), k), {canonicalize(reduce(QuasiOrder.disjoint_union, tup)): ONE})
         for k in range(1, q.n + 1)
         for tup in delta_bar_tuples(q, k)
     )
@@ -991,18 +952,15 @@ def canonical_pi_idem(t):
     """pi composed with the Eulerian idempotent; lands in the primitives."""
     x = as_topo_elem(t)
     _check_euler_bound(x)
-    return lin_sum((c, _pieul_class(tc)) for tc, c in x.terms.items())
+    return x.apply(_pieul_class)
 
 
-@_per_class(_PIEUL_MEMO)
+@cache
 def _pieul_class(tc):
     return inf_pi(_e_class(tc))
 
 
 # -- antipode of (down, Delta) -----------------------------------------------
-
-_ANTIPODE_MEMO = {}
-
 
 def antipode(t):
     """Convolution inverse of the identity for the stacking product.
@@ -1011,11 +969,10 @@ def antipode(t):
     On the augmentation ideal -S is pi (not at the unit); inf_pi reads it
     from here.
     """
-    x = as_topo_elem(t)
-    return lin_sum((c, _antipode_class(tc)) for tc, c in x.terms.items())
+    return as_topo_elem(t).apply(_antipode_class)
 
 
-@_per_class(_ANTIPODE_MEMO)
+@cache
 def _antipode_class(tc):
     if tc.n == 0:
         return LinComb.single(tc)
@@ -1048,7 +1005,7 @@ def closed_form_e(kind, n):
     if kind == "ladder":
         return lin_sum(
             (Fraction((-1) ** (len(c) + 1), len(c)),
-             {canonicalize(_fold(QuasiOrder.disjoint_union, [ladder(part).q for part in c])): ONE})
+             {canonicalize(reduce(QuasiOrder.disjoint_union, [ladder(part).q for part in c])): ONE})
             for c in compositions(n)
         )
     if kind == "corolla":
@@ -1065,10 +1022,7 @@ def closed_form_e(kind, n):
 
 def all_isoclasses(n):
     """Every topology isoclass on n points, sorted by key, as a shared tuple."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise InputError(f"vertex count {n!r} is not an integer") from None
+    n = _vertex_count(n)
     if n > ISO_BOUND:
         raise SizeBoundError(f"size bound: isoclass enumeration stops at n = {ISO_BOUND}")
     if n < 0:
@@ -1076,7 +1030,7 @@ def all_isoclasses(n):
     return _isoclasses(n)
 
 
-@functools.cache
+@cache
 def _isoclasses(n):
     """Every topology minus a vertex is a topology, so the classes on n
     points are the one-point extensions of those on n - 1 (a set of classes

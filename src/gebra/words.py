@@ -222,11 +222,14 @@ def parse_tensor(text, alphabet):
             coeff = parse_scalar(coeff_text)
             w = parse_word(word_text, alphabet)
         else:
-            # A bare word, or a bare scalar standing on the unit word.
+            # A bare word, or a bare scalar standing on the unit word; a
+            # term made of identifiers alone can only be a word.
             try:
                 w = parse_word(chunk, alphabet)
                 coeff = Fraction(1)
             except InputError:
+                if all(IDENT.match(part.strip()) for part in chunk.split(".")):
+                    raise
                 coeff = parse_scalar(chunk)
                 w = alphabet.empty_word()
         out[w] = out.get(w, Fraction(0)) + coeff

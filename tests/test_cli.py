@@ -1036,6 +1036,19 @@ def test_exponent_underscore_and_non_ascii_scalars_exit_2(expr):
     assert err.startswith("error: bad scalar")
 
 
+@pytest.mark.parametrize(
+    "expr, cause",
+    [
+        ("a.c", "error: unknown letter 'c'"),
+        ("1.5", "error: bad scalar '1.5': decimal notation not accepted"),
+    ],
+)
+def test_bare_term_reports_its_own_parse_error(expr, cause):
+    code, out, err = run("omega", "--alphabet", "a,b", expr)
+    assert (code, out) == (2, "")
+    assert err.strip() == cause
+
+
 def test_unknown_subcommand_exits_2():
     code, out, err = run("frobnicate")
     assert code == 2

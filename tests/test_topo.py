@@ -177,6 +177,17 @@ def test_constructors_validate():
         corolla(1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [QuasiOrder, discrete, lambda n: Partition(n, [[0], [1]]), ladder, corolla],
+    ids=["QuasiOrder", "discrete", "Partition", "ladder", "corolla"],
+)
+@pytest.mark.parametrize("n", [2.5, "3"])
+def test_constructors_refuse_non_integer_vertex_counts(make, n):
+    with pytest.raises(InputError, match="is not an integer"):
+        make(n)
+
+
 def test_open_sets():
     assert len(open_sets(L3.q)) == 4  # chains have n+1 opens
     assert len(open_sets(D3.q)) == 8
@@ -934,9 +945,12 @@ def test_symmetric_8_point_topologies_canonicalize_within_100ms(text):
 
 
 def clear_topo_memos():
-    for name, table in vars(topo).items():
-        if name.endswith("_MEMO"):
-            table.clear()
+    """Empty the labeled canonical memo and every functools.cache in topo."""
+    topo._CANON_MEMO.clear()
+    cached = [fn for fn in vars(topo).values() if hasattr(fn, "cache_clear")]
+    for fn in cached:
+        fn.cache_clear()
+    assert all(fn.cache_info().currsize == 0 for fn in cached)
 
 
 def memoized_results(q):
