@@ -15,14 +15,16 @@ letter indices, a combination is a plain dict from such tuples to int or
 Fraction coefficients summed by exactlin.term_sum, and the bracket is read
 from `brackets`, an index-keyed copy of the table built once with the
 structure.  The products of suffix pairs are memoized in a dict that lives
-for one top-level call (induced_product's memo argument); no product is
-kept on the structure between calls.  What the structure does keep,
-`letter_maps`, is gebra.idem's letter-valued varpi and zeta, a combination
-of letters per word.  Words and LinCombs appear only at
-the boundary (words.index_terms and words.word_comb), which puts the
-input's coefficients over one common denominator, so that integral
-brackets keep every intermediate sum in ints.  The Word-keyed `bracket`
-stays the public evaluation and is what the oracles use.
+for one induced_product call; no product is kept on the structure between
+calls.  What the structure does keep, `letter_maps`, is gebra.idem's
+letter-valued varpi and zeta, a combination of letters per word.  Words
+and LinCombs appear only at the boundary (words.index_terms and
+words.word_comb), which puts the input's coefficients over one common
+denominator, so that integral brackets keep every intermediate sum in
+ints.  The Word-keyed `bracket` stays the public evaluation and is what the
+oracles use; past the unit rules it reads the same index table.  The
+oracles sum their combinations with exactlin.lin_sum as well, so no
+combination in this module is accumulated by hand.
 
 Three modes exist: "shuffle" (zero bracket), "quasi_shuffle" (a semigroup
 product on the letters, applied to letter pairs only), and "explicit" (a
@@ -40,6 +42,7 @@ Bracket table file format::
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -147,23 +150,20 @@ class BInftyStructure:
         return self.alphabet.index(self.mult[(a, b)])
 
     def bracket(self, w, w2):
-        """Evaluate the bracket on a pair of words, unit rules first."""
+        """Evaluate the bracket on a pair of words: the unit rules, then the
+        kernel's index table (bracket_terms).  Outside shuffle mode a word
+        over another alphabet is refused, as index_terms refuses it."""
+        if self.mode != SHUFFLE:
+            same_alphabet(self.alphabet, w.alphabet)
+            same_alphabet(self.alphabet, w2.alphabet)
         e1, e2 = w.is_empty(), w2.is_empty()
         if e1 and e2:
             return LinComb.zero()
         if e1 or e2:
             u = w2 if e1 else w
             return LinComb.single(u) if len(u) == 1 else LinComb.zero()
-        if self.mode == SHUFFLE:
-            return LinComb.zero()
-        if self.mode == QUASI_SHUFFLE:
-            if len(w) == 1 and len(w2) == 1:
-                k = self.letter_product(w.idx[0], w2.idx[0])
-                return LinComb.single(self.alphabet.letter(k))
-            return LinComb.zero()
-        if max(len(w), len(w2)) > self.bound:
-            raise self.past_bound(w, w2)
-        return self.table.get((w, w2), LinComb.zero())
+        terms = self.bracket_terms(w.idx, w2.idx)
+        return LinComb({Word._trusted(self.alphabet, u): c for u, c in terms})
 
     def bracket_terms(self, a, b):
         """The bracket of two nonempty index tuples, as (letter tuple, coefficient) pairs."""
@@ -249,22 +249,20 @@ def product_terms(B, a, b, memo):
     return out
 
 
-def induced_product(B, x, y, memo=None):
+def induced_product(B, x, y):
     """The product induced by the bracket, extended bilinearly.
 
     For words it is the sum over pairs of decompositions of both arguments
     into the same number of possibly-empty blocks, each index contributing
     one bracketed letter.  The empty-against-empty index vanishes, so the
-    sum is finite; 1 * 1 = 1.  A caller making many products in one
-    computation passes one dict as memo; it holds the products of pairs of
-    index tuples and is dropped with the caller's frame.
+    sum is finite; 1 * 1 = 1.  The products of pairs of index tuples are
+    memoized for this call only.
     """
     alphabet, xs, d = B.index_terms(x)
     alphabet2, ys, d2 = B.index_terms(y)
     if alphabet is not None and alphabet2 is not None:
         same_alphabet(alphabet, alphabet2)
-    if memo is None:
-        memo = {}
+    memo = {}
     out = term_sum(
         (c * c2, product_terms(B, w, w2, memo).items())
         for w, c in xs.items()
@@ -288,28 +286,25 @@ def surjection_product_oracle(B, w, w2):
 def _surjection_words(B, w, w2):
     alphabet = w.alphabet
     merge = B.mode == QUASI_SHUFFLE
-    out = {}
 
     def walk(i, j, acc):
         if i == len(w) and j == len(w2):
-            word = Word(alphabet, tuple(acc))
-            out[word] = out.get(word, 0) + 1
+            yield Word(alphabet, tuple(acc))
             return
         if i < len(w):
             acc.append(w.idx[i])
-            walk(i + 1, j, acc)
+            yield from walk(i + 1, j, acc)
             acc.pop()
         if j < len(w2):
             acc.append(w2.idx[j])
-            walk(i, j + 1, acc)
+            yield from walk(i, j + 1, acc)
             acc.pop()
         if merge and i < len(w) and j < len(w2):
             acc.append(B.letter_product(w.idx[i], w2.idx[j]))
-            walk(i + 1, j + 1, acc)
+            yield from walk(i + 1, j + 1, acc)
             acc.pop()
 
-    walk(0, 0, [])
-    return LinComb(out)
+    return lin_sum((1, {word: 1}) for word in walk(0, 0, []))
 
 
 def _split_with_empty(w, k):
@@ -324,13 +319,12 @@ def _decomposition_sum(B, w, w2):
     if w.is_empty() and w2.is_empty():
         return LinComb.single(w)
     alphabet = w.alphabet
-    out = LinComb.zero()
-    for k in range(1, len(w) + len(w2) + 1):
-        for blocks in _split_with_empty(w, k):
-            for blocks2 in _split_with_empty(w2, k):
-                factors = [B.bracket(a, b) for a, b in zip(blocks, blocks2)]
-                out = out + concat_expand(factors, alphabet)
-    return out
+    return lin_sum(
+        (1, concat_expand([B.bracket(a, b) for a, b in zip(blocks, blocks2)], alphabet))
+        for k in range(1, len(w) + len(w2) + 1)
+        for blocks in _split_with_empty(w, k)
+        for blocks2 in _split_with_empty(w2, k)
+    )
 
 
 def quasi_shuffle_recursive(B, w, w2):
@@ -338,26 +332,20 @@ def quasi_shuffle_recursive(B, w, w2):
     if B.mode not in (SHUFFLE, QUASI_SHUFFLE):
         raise InputError("the three-term recursion needs shuffle or quasi_shuffle mode")
     alphabet = w.alphabet
-    memo = {}
 
+    @cache
     def rec(u, v):
-        hit = memo.get((u, v))
-        if hit is not None:
-            return hit
         if u.is_empty():
-            out = LinComb.single(v)
-        elif v.is_empty():
-            out = LinComb.single(u)
-        else:
-            a, u_rest = u[:1], u[1:]
-            b, v_rest = v[:1], v[1:]
-            out = rec(u_rest, v).map_keys(lambda t: a * t)
-            out = out + rec(u, v_rest).map_keys(lambda t: b * t)
-            if B.mode == QUASI_SHUFFLE:
-                ab = alphabet.letter(B.letter_product(u.idx[0], v.idx[0]))
-                out = out + rec(u_rest, v_rest).map_keys(lambda t: ab * t)
-        memo[(u, v)] = out
-        return out
+            return LinComb.single(v)
+        if v.is_empty():
+            return LinComb.single(u)
+        a, u_rest = u[:1], u[1:]
+        b, v_rest = v[:1], v[1:]
+        parts = [(a, rec(u_rest, v)), (b, rec(u, v_rest))]
+        if B.mode == QUASI_SHUFFLE:
+            ab = alphabet.letter(B.letter_product(u.idx[0], v.idx[0]))
+            parts.append((ab, rec(u_rest, v_rest)))
+        return lin_sum((1, {head * t: c for t, c in x.terms.items()}) for head, x in parts)
 
     return rec(w, w2)
 

@@ -18,7 +18,9 @@ group itself appears only when an element is printed (DescElem.expand, one
 pass over the image tuples of S_n) and in the n! reference routes the
 tests compare against: de_equal, de_subset, internal_product and
 convolution on GroupAlgElem, solomon_log_oracle and lie_projection_check.
-Degrees stop at n = 7 (DEGREE_BOUND).
+Every combination, in either basis or in the group algebra, is summed by
+exactlin.term_sum or lin_sum; the one dict updated by hand is the Gaussian
+elimination in _row_reduce.  Degrees stop at n = 7 (DEGREE_BOUND).
 """
 
 from __future__ import annotations
@@ -26,17 +28,22 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, combinations, permutations as _permutations
 from math import comb
-from operator import gt
+from operator import gt, index
 
 from .exactlin import (
-    Fraction, InputError, LinComb, SizeBoundError, format_terms, lin_sum, parse_scalar,
+    ONE, Fraction, InputError, LinComb, SizeBoundError, format_terms, lin_sum, parse_scalar,
+    term_sum,
 )
-from .words import Word, compositions
+from .words import Word, compositions, prefixed
 
 DEGREE_BOUND = 7
 
 
 def _check_degree(n):
+    try:
+        index(n)
+    except TypeError:
+        raise InputError(f"degree {n!r} is not an integer") from None
     if n > DEGREE_BOUND:
         raise SizeBoundError(f"size bound: descent computations stop at n = {DEGREE_BOUND}")
     if n < 0:
@@ -49,7 +56,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(i) for i in images)
+        try:
+            images = tuple(map(index, images))
+        except TypeError:
+            raise InputError(f"not a permutation: {images!r} holds a non-integer") from None
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {images}")
@@ -213,7 +223,7 @@ class GroupAlgElem(_DegreeElem):
 
 
 def parse_group_alg(text):
-    terms = {}
+    terms = []
     n = None
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -223,15 +233,15 @@ def parse_group_alg(text):
             coeff_text, _, perm_text = chunk.partition("*")
             coeff = parse_scalar(coeff_text)
         else:
-            coeff = Fraction(1)
+            coeff = ONE
             perm_text = chunk
         p = parse_permutation(perm_text)
         if n is None:
             n = p.n
         elif n != p.n:
             raise InputError("mixed degrees in one group algebra element")
-        terms[p] = terms.get(p, Fraction(0)) + coeff
-    return GroupAlgElem(n, terms)
+        terms.append((p, coeff))
+    return GroupAlgElem(n, LinComb.trusted(term_sum([(1, terms)])))
 
 
 def subset_from_composition(comp):
@@ -373,19 +383,21 @@ def convolution(g, h):
     p, q = g.n, h.n
     n = p + q
     _check_degree(n)
-    terms = {}
     all_pos = range(1, n + 1)
-    for sigma, c in g.terms.items():
-        for tau, d in h.terms.items():
-            cd = c * d
-            for I in combinations(all_pos, p):
-                J = tuple(sorted(set(all_pos) - set(I)))
-                images = tuple(I[sigma(i) - 1] for i in range(1, p + 1)) + tuple(
-                    J[tau(j) - 1] for j in range(1, q + 1)
-                )
-                rho = Permutation(images)
-                terms[rho] = terms.get(rho, Fraction(0)) + cd
-    return GroupAlgElem(n, terms)
+
+    def shuffled(sigma, tau, cd):
+        for I in combinations(all_pos, p):
+            J = tuple(sorted(set(all_pos) - set(I)))
+            images = tuple(I[sigma(i) - 1] for i in range(1, p + 1)) + tuple(
+                J[tau(j) - 1] for j in range(1, q + 1)
+            )
+            yield Permutation(images), cd
+
+    return GroupAlgElem(n, LinComb.trusted(term_sum(
+        (1, shuffled(sigma, tau, c * d))
+        for sigma, c in g.terms.items()
+        for tau, d in h.terms.items()
+    )))
 
 
 def internal_product(g, h):
@@ -396,12 +408,9 @@ def internal_product(g, h):
     act(g . h) = act(g) o act(h).
     """
     g._same_degree(h)
-    terms = {}
-    for sigma, c in g.terms.items():
-        for tau, d in h.terms.items():
-            rho = sigma.then(tau)
-            terms[rho] = terms.get(rho, Fraction(0)) + c * d
-    return GroupAlgElem(g.n, terms)
+    return GroupAlgElem(g.n, LinComb.trusted(term_sum(
+        (c, ((sigma.then(tau), d) for tau, d in h.terms.items())) for sigma, c in g.terms.items()
+    )))
 
 
 class DescElem(_DegreeElem):
@@ -527,12 +536,10 @@ def _mackey_readings(rows, cols):
     """
     if not rows:
         return {(): 1}
-    out = {}
-    for piece, left in _row_fillings(rows[0], cols):
-        for reading, m in _mackey_readings(rows[1:], left).items():
-            r = piece + reading
-            out[r] = out.get(r, 0) + m
-    return out
+    return term_sum(
+        (1, prefixed(piece, _mackey_readings(rows[1:], left)))
+        for piece, left in _row_fillings(rows[0], cols)
+    )
 
 
 @cache
@@ -556,13 +563,11 @@ def _splits(comp):
     """Each part splits as a + b, zero parts dropped: (left, right) -> multiplicity."""
     pieces = {((), ()): 1}
     for part in comp:
-        step = {}
-        for (left, right), m in pieces.items():
-            for a in range(part + 1):
-                b = part - a
-                key = (left + (a,) if a else left, right + (b,) if b else right)
-                step[key] = step.get(key, 0) + m
-        pieces = step
+        halves = [((a,) if a else (), (part - a,) if a < part else ()) for a in range(part + 1)]
+        pieces = term_sum(
+            (1, (((left + x, right + y), m) for x, y in halves))
+            for (left, right), m in pieces.items()
+        )
     return pieces
 
 
@@ -588,13 +593,10 @@ def lie_pivots(n):
     rows = []
     for rest in _permutations(range(2, n + 1)):
         tau = (1,) + rest
-        elt = {(tau[0],): Fraction(1)}
+        elt = {(tau[0],): ONE}
         for a in tau[1:]:
-            new = {}
-            for word, c in elt.items():
-                for w2, s in ((word + (a,), c), ((a,) + word, -c)):
-                    new[w2] = new.get(w2, Fraction(0)) + s
-            elt = {k: v for k, v in new.items() if v}
+            # [u, a] = ua - au; the values stay Fractions, as the pivots divide by them
+            elt = term_sum((1, ((word + (a,), c), ((a,) + word, -c))) for word, c in elt.items())
         rows.append(elt)
     pivots = {}
     for row in rows:
@@ -606,6 +608,7 @@ def lie_pivots(n):
 
 
 def _row_reduce(row, pivots):
+    # In-place Gaussian elimination on a copy of row, not a sum of combinations.
     row = dict(row)
     while row:
         lead = min(row)

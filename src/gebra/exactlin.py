@@ -3,6 +3,12 @@
 Substrate for the whole library: every structure downstream stores its
 coefficients in the types defined here.  All arithmetic is exact; floats do
 not appear anywhere.
+
+Every sum of combinations in the library goes through term_sum (lin_sum
+wraps it): Poly and LinComb arithmetic here, and the folds of words,
+binfty, descent and topo.  Two places update a dict entry by hand and are
+not sums: the Gaussian elimination in descent._row_reduce and the one-entry
+adjustment in words.inverse_structure_endo.
 """
 
 from __future__ import annotations
@@ -99,18 +105,12 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return Poly(out)
+        return Poly(term_sum(((1, self.coeffs.items()), (1, other.coeffs.items()))))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) - c
-        return Poly(out)
+        return Poly(term_sum(((1, self.coeffs.items()), (-1, other.coeffs.items()))))
 
     def __neg__(self):
         return Poly({k: -c for k, c in self.coeffs.items()})
@@ -120,12 +120,10 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, ZERO) + c1 * c2
-        return Poly(out)
+        return Poly(term_sum(
+            (c1, ((k1 + k2, c2) for k2, c2 in other.coeffs.items()))
+            for k1, c1 in self.coeffs.items()
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -177,8 +175,9 @@ class LinComb:
     """Finite linear combination over an ordered family of basis keys.
 
     Keys must be hashable and mutually comparable; iteration is always in
-    sorted key order so that printing is deterministic.  No zero coefficient
-    is ever stored.
+    sorted key order so that printing is deterministic.  Every stored
+    coefficient is a nonzero Fraction, which is why +, -, map_keys and
+    tensor_pair may wrap their term_sum results with trusted.
     """
 
     __slots__ = ("terms",)
@@ -232,18 +231,12 @@ class LinComb:
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return LinComb(out)
+        return LinComb.trusted(term_sum(((1, self.terms.items()), (1, other.terms.items()))))
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) - c
-        return LinComb(out)
+        return LinComb.trusted(term_sum(((1, self.terms.items()), (-1, other.terms.items()))))
 
     def __neg__(self):
         return LinComb({k: -c for k, c in self.terms.items()})
@@ -265,11 +258,7 @@ class LinComb:
 
     def map_keys(self, f):
         """Push forward along a key map; colliding images accumulate."""
-        out = {}
-        for k, c in self.terms.items():
-            k2 = f(k)
-            out[k2] = out.get(k2, ZERO) + c
-        return LinComb(out)
+        return LinComb.trusted(term_sum([(1, ((f(k), c) for k, c in self.terms.items()))]))
 
     def __repr__(self):
         return f"LinComb({self.terms!r})"
@@ -280,9 +269,10 @@ def term_sum(pairs):
 
     x is an iterable of (key, coefficient) items, such as dict.items(); a
     coefficient c of 1 adds x unscaled.  Coefficients are added as they
-    come, ints and Fractions alike, with no coercion.  This is the one
-    accumulation idiom: nothing is copied or re-normalized per summand, and
-    lin_sum wraps the result in a LinComb.
+    come, ints and Fractions alike, with no coercion: int values scaled by
+    int c stay ints, so a caller that later divides the values with / feeds
+    Fraction values.  This is the one accumulation idiom: nothing is copied
+    or re-normalized per summand, and lin_sum wraps the result in a LinComb.
     """
     out = {}
     get = out.get
@@ -315,11 +305,9 @@ def reduced(c):
 
 def tensor_pair(x, y):
     """Bilinear pairing of two combinations into pairs of keys."""
-    out = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            out[(k1, k2)] = out.get((k1, k2), ZERO) + c1 * c2
-    return LinComb(out)
+    return LinComb.trusted(term_sum(
+        (c1, (((k1, k2), c2) for k2, c2 in y.terms.items())) for k1, c1 in x.terms.items()
+    ))
 
 
 def format_terms(x, render=str):

@@ -45,6 +45,7 @@ from .exactlin import (
     SizeBoundError,
     ZERO,
     lin_sum,
+    term_sum,
 )
 from .words import compositions
 
@@ -55,12 +56,19 @@ EULER_BOUND = 6
 ISO_BOUND = 6
 
 
-def _vertex_count(n):
-    """n as an int through operator.index, so 2.5 or "3" is refused."""
+def _integer(x, what):
+    """x as an int through operator.index, so 2.5 or "3" is refused."""
     try:
-        return index(n)
+        return index(x)
     except TypeError:
-        raise InputError(f"vertex count {n!r} is not an integer") from None
+        raise InputError(f"{what} {x!r} is not an integer") from None
+
+
+def _vertex_count(n):
+    n = _integer(n, "vertex count")
+    if n < 0:
+        raise InputError("negative vertex count")
+    return n
 
 
 class QuasiOrder:
@@ -74,8 +82,6 @@ class QuasiOrder:
 
     def __init__(self, n, rows=None):
         n = _vertex_count(n)
-        if n < 0:
-            raise InputError("negative vertex count")
         self.n = n
         base = [1 << i for i in range(n)]
         if rows is not None:
@@ -84,7 +90,7 @@ class QuasiOrder:
                 raise InputError(f"expected {n} rows, got {len(rows)}")
             full = (1 << n) - 1
             for i, r in enumerate(rows):
-                r = int(r)
+                r = _integer(r, "relation row")
                 if r & ~full:
                     raise InputError("relation bits out of vertex range")
                 base[i] |= r
@@ -521,7 +527,7 @@ class Partition:
         norm = []
         seen = 0
         for b in blocks:
-            b = tuple(sorted(set(int(v) for v in b)))
+            b = tuple(sorted(set(_integer(v, "vertex") for v in b)))
             if not b:
                 raise InputError("empty block")
             m = 0
@@ -826,19 +832,19 @@ def _upsilon_rec(tc):
             m2 == m or not q.leq((m2 & -m2).bit_length() - 1, i) for m2 in cls_masks
         ):
             minimal.append(m)
-    out = Poly()
     full = q.full_mask
-    x = Poly.x_power(1)
+    parts = []
     for r in range(1, len(minimal) + 1):
         for sel in combinations(minimal, r):
             rest = full
             for m in sel:
                 rest &= ~m
             if rest == 0:
-                out = out + Poly.const(1)
+                parts.append((1, ((0, ONE),)))
             else:
-                out = out + x * _upsilon_rec(canonicalize(q.restrict_mask(rest)))
-    return out
+                below = _upsilon_rec(canonicalize(q.restrict_mask(rest))).coeffs
+                parts.append((1, ((k + 1, c) for k, c in below.items())))  # X * below
+    return Poly(term_sum(parts))
 
 
 def _upsilon_oracle(tc):
@@ -852,17 +858,14 @@ def _upsilon_oracle(tc):
         for b in range(k)
         if a != b and q.leq(reps[a], reps[b]) and not q.leq(reps[b], reps[a])
     ]
-    out = Poly()
-    for m in range(1, k + 1):
-        count = 0
-        for f in _product(range(m), repeat=k):
-            if len(set(f)) != m:
-                continue
-            if all(f[a] < f[b] for a, b in strict):
-                count += 1
-        if count:
-            out = out + Poly.x_power(m - 1, count)
-    return out
+    return Poly({
+        m - 1: sum(
+            1
+            for f in _product(range(m), repeat=k)
+            if len(set(f)) == m and all(f[a] < f[b] for a, b in strict)
+        )
+        for m in range(1, k + 1)
+    })
 
 
 def lambda_char(x, method="upsilon_integral"):
@@ -1025,8 +1028,6 @@ def all_isoclasses(n):
     n = _vertex_count(n)
     if n > ISO_BOUND:
         raise SizeBoundError(f"size bound: isoclass enumeration stops at n = {ISO_BOUND}")
-    if n < 0:
-        raise InputError("negative vertex count")
     return _isoclasses(n)
 
 

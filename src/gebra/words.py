@@ -23,6 +23,7 @@ from itertools import combinations, product
 from math import comb, factorial, lcm
 
 from .exactlin import (
+    ONE,
     Fraction,
     InputError,
     LinComb,
@@ -212,7 +213,7 @@ def parse_tensor(text, alphabet):
     """Parse "3/2*a.b + -1*c" into a linear combination of words."""
     from .exactlin import parse_scalar
 
-    out = {}
+    terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -226,14 +227,14 @@ def parse_tensor(text, alphabet):
             # term made of identifiers alone can only be a word.
             try:
                 w = parse_word(chunk, alphabet)
-                coeff = Fraction(1)
+                coeff = ONE
             except InputError:
                 if all(IDENT.match(part.strip()) for part in chunk.split(".")):
                     raise
                 coeff = parse_scalar(chunk)
                 w = alphabet.empty_word()
-        out[w] = out.get(w, Fraction(0)) + coeff
-    return LinComb(out)
+        terms.append((w, coeff))
+    return LinComb.trusted(term_sum([(1, terms)]))
 
 
 def check_word_bound(length):
@@ -288,11 +289,7 @@ def block_decompositions(w, k):
 
 def deconcat(w):
     """Deconcatenation coproduct of a single word, empty blocks included."""
-    out = {}
-    for i in range(len(w) + 1):
-        key = (w[:i], w[i:])
-        out[key] = out.get(key, 0) + 1
-    return LinComb(out)
+    return LinComb({(w[:i], w[i:]): ONE for i in range(len(w) + 1)})
 
 
 def _check_reduced(x):
@@ -311,13 +308,9 @@ def reduced_coproduct_iter(x, k):
     if k < 1:
         raise InputError("the iterated coproduct needs k >= 1")
     _check_reduced(x)
-    out = {}
-    for w, c in x.terms.items():
-        if len(w) < k:
-            continue
-        for blocks in block_decompositions(w, k):
-            out[blocks] = out.get(blocks, 0) + c
-    return LinComb(out)
+    return LinComb.trusted(term_sum(
+        (1, ((blocks, c) for blocks in block_decompositions(w, k))) for w, c in x.terms.items()
+    ))
 
 
 def coradical_degree(x):
@@ -565,7 +558,8 @@ def inverse_structure_endo(pi, x):
             raise InputError("partial map: no value for the unit word")
         if n == 1:
             return {t: 1}
-        # every pattern but the n-letter one, which pi sends back to t
+        # every pattern but the n-letter one, which pi sends back to t;
+        # one entry of a copy is adjusted, no combinations are summed
         shorter = dict(lift(t))
         shorter[t] = shorter.get(t, 0) - factorial(n)
         return apply_scaled(mu, {p: -c for p, c in shorter.items() if c})

@@ -44,6 +44,29 @@ def test_quasi_shuffle_bracket_is_letter_multiplication(qs3, alph3):
     assert qs3.bracket(parse_word("x1.x1", alph3), v) == LinComb.zero()
 
 
+def test_bracket_refuses_words_over_another_alphabet(qs3, flalg, sh3):
+    xy = Alphabet("x,y")
+    x, y = parse_word("x", xy), parse_word("y", xy)
+    for B in (qs3, flalg):
+        with pytest.raises(InputError, match="different alphabets"):
+            B.bracket(x, y)
+        with pytest.raises(InputError, match="different alphabets"):
+            B.bracket(xy.empty_word(), x)
+    # the shuffle bracket is zero on words over any alphabet
+    assert sh3.bracket(x, y) == LinComb.zero()
+    assert sh3.bracket(xy.empty_word(), x) == LinComb.single(x)
+
+
+def test_bracket_agrees_with_the_index_table(qs3, flalg):
+    for B in (qs3, flalg):
+        words = list(B.alphabet.words(2, minlen=1))
+        for w, w2 in itertools.product(words, words):
+            want = {u: Fraction(c) for u, c in B.bracket_terms(w.idx, w2.idx)}
+            got = B.bracket(w, w2)
+            assert {u.idx: c for u, c in got.terms.items()} == want
+            assert all(u.alphabet is B.alphabet for u in got.terms)
+
+
 def test_shuffle_product_small(sh3, alph3):
     x1 = parse_word("x1", alph3)
     assert induced_product(sh3, x1, x1) == parse_tensor("2*x1.x1", alph3)

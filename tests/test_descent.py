@@ -59,6 +59,23 @@ def test_permutation_basics():
         parse_permutation("0 1")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Permutation([v, 1]),
+        dynkin_desc,
+        solomon_desc,
+        GroupAlgElem,
+        lambda v: DescElem(v, {}),
+    ],
+    ids=["Permutation", "dynkin_desc", "solomon_desc", "GroupAlgElem", "DescElem"],
+)
+@pytest.mark.parametrize("v", [1.5, 2.0, "2"])
+def test_constructors_refuse_non_integers(make, v):
+    with pytest.raises(InputError, match="integer"):
+        make(v)
+
+
 def test_then_convention():
     # (p then q)(i) = q(p(i))
     p = parse_permutation("2 1 3")

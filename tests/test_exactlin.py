@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from gebra.descent import lie_pivots
 from gebra.exactlin import (
     InputError,
     LinComb,
@@ -17,6 +18,7 @@ from gebra.exactlin import (
     tensor_pair,
     term_sum,
 )
+from gebra.words import Alphabet, parse_tensor
 
 scalars = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -207,6 +209,29 @@ def test_lin_sum_wraps_term_sum():
     got = lin_sum([(3, x), (-1, {"a": 1, "c": Fraction(1, 2)})])
     assert got == LinComb({"b": 3, "c": Fraction(-1, 2)})
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# Each case gives the coefficients of a result built from int-valued input.
+FRACTION_CASES = {
+    "LinComb+": lambda: (LinComb({"a": 1, "b": 2}) + LinComb({"a": 1})).terms.values(),
+    "LinComb-": lambda: (LinComb({"a": 1}) - LinComb({"b": 3})).terms.values(),
+    "map_keys": lambda: LinComb({"a": 1, "b": 3, "cd": 2}).map_keys(len).terms.values(),
+    "tensor_pair": lambda: tensor_pair(LinComb({"a": 1}), LinComb({"b": 2, "c": 1})).terms.values(),
+    "Poly+": lambda: (Poly({0: 1, 1: 2}) + Poly({1: 1})).coeffs.values(),
+    "Poly-": lambda: (Poly({0: 1}) - Poly({2: 1})).coeffs.values(),
+    "Poly*": lambda: (Poly({0: 1, 1: 1}) * Poly({0: 1, 1: -1})).coeffs.values(),
+    "parse_tensor": lambda: parse_tensor("a + 2*b + a + 1", Alphabet("a,b")).terms.values(),
+    "lie_pivots": lambda: [
+        c for n in range(1, 6) for row in lie_pivots(n).values() for c in row.values()
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(FRACTION_CASES))
+def test_coefficients_stay_fractions(case):
+    values = list(FRACTION_CASES[case]())
+    assert values
+    assert all(type(c) is Fraction for c in values)
 
 
 def test_reduced_keeps_the_value():

@@ -179,13 +179,32 @@ def test_constructors_validate():
 
 @pytest.mark.parametrize(
     "make",
-    [QuasiOrder, discrete, lambda n: Partition(n, [[0], [1]]), ladder, corolla],
-    ids=["QuasiOrder", "discrete", "Partition", "ladder", "corolla"],
+    [
+        QuasiOrder,
+        discrete,
+        lambda n: Partition(n, [[0], [1]]),
+        ladder,
+        corolla,
+        lambda v: Partition(2, [[0], [v]]),
+        lambda r: QuasiOrder(2, [r, 0]),
+    ],
+    ids=["QuasiOrder", "discrete", "Partition", "ladder", "corolla", "Partition-vertex",
+         "QuasiOrder-row"],
 )
-@pytest.mark.parametrize("n", [2.5, "3"])
+@pytest.mark.parametrize("n", [2.5, "3", 1.5])
 def test_constructors_refuse_non_integer_vertex_counts(make, n):
     with pytest.raises(InputError, match="is not an integer"):
         make(n)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [QuasiOrder, discrete, lambda n: Partition(n, []), all_isoclasses],
+    ids=["QuasiOrder", "discrete", "Partition", "all_isoclasses"],
+)
+def test_constructors_refuse_negative_vertex_counts(make):
+    with pytest.raises(InputError, match="negative vertex count"):
+        make(-1)
 
 
 def test_open_sets():
