@@ -29,12 +29,13 @@ combination in this module is accumulated by hand.
 Three modes exist: "shuffle" (zero bracket), "quasi_shuffle" (a semigroup
 product on the letters, applied to letter pairs only), and "explicit" (a
 finite table with a declared word-length bound; evaluation outside the bound
-is an error rather than a silent zero).
+is an error rather than a silent zero).  MODE_NAMES is the one table of
+them, for structures, table files and the command line.
 
 Bracket table file format::
 
     mode: explicit            # or: shuffle | qshuffle
-    alphabet: a:1,b:2         # optional; inferred letters of degree 1 otherwise
+    alphabet: a:1,b:2         # optional; else words.infer_alphabet, as on the command line
     bound: 6                  # optional for explicit mode
     a , a -> 2*b              # explicit bracket lines
     a * b = c                 # qshuffle multiplication lines
@@ -46,7 +47,9 @@ from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exactlin import InputError, LinComb, SizeBoundError, lin_sum, reduced, term_sum
+from .exactlin import (
+    InputError, LinComb, SizeBoundError, as_int, lin_sum, parse_ints, reduced, term_sum,
+)
 from .words import (
     Alphabet,
     Word,
@@ -55,6 +58,7 @@ from .words import (
     check_word_bound,
     concat_expand,
     index_terms,
+    infer_alphabet,
     parse_tensor,
     parse_word,
     prefixed,
@@ -66,6 +70,17 @@ SHUFFLE = "shuffle"
 QUASI_SHUFFLE = "quasi_shuffle"
 EXPLICIT = "explicit"
 
+# Mode name -> (mode, support): the longest nonempty words the bracket can
+# pair to nonzero.  Explicit tables promise nothing (None) and are always
+# evaluated, so that a word past the table bound raises instead of reading
+# as zero.
+MODE_NAMES = {
+    "shuffle": (SHUFFLE, 0),
+    "qshuffle": (QUASI_SHUFFLE, 1),
+    "quasi_shuffle": (QUASI_SHUFFLE, 1),
+    "explicit": (EXPLICIT, None),
+}
+
 
 class BInftyStructure:
     """A bracket <-,->: T(V) x T(V) -> V presented by mode and table."""
@@ -75,18 +90,15 @@ class BInftyStructure:
     )
 
     def __init__(self, alphabet, mode, mult=None, table=None, bound=None):
-        if mode not in (SHUFFLE, QUASI_SHUFFLE, EXPLICIT):
-            raise InputError(f"unknown mode {mode!r}")
+        try:
+            mode, self.support = MODE_NAMES[mode]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown mode {mode!r}") from None
         self.alphabet = alphabet
         self.mode = mode
         self.mult = None
         self.table = None
         self.bound = None
-        # Longest nonempty words the bracket can pair to nonzero: none in
-        # shuffle mode, letters in quasi-shuffle mode.  Explicit tables
-        # promise nothing (None) and are always evaluated, so that a word
-        # past the table bound raises instead of reading as zero.
-        self.support = {SHUFFLE: 0, QUASI_SHUFFLE: 1, EXPLICIT: None}[mode]
         # The nonzero brackets of nonempty words for the kernel, keyed by
         # pairs of index tuples, each a tuple of (letter tuple, coefficient).
         self.brackets = {}
@@ -123,7 +135,7 @@ class BInftyStructure:
                 if val:
                     clean[(w, w2)] = val
             self.table = clean
-            self.bound = top if bound is None else int(bound)
+            self.bound = top if bound is None else as_int(bound, "table bound")
             if self.bound < top:
                 raise InputError("declared bound is smaller than the stored table")
             self.brackets = {
@@ -420,19 +432,11 @@ def check_axioms(B, length_budget):
     return {"unit": unit, "assoc": assoc, "comm": comm, "trivial": trivial}
 
 
-MODE_NAMES = {
-    "shuffle": SHUFFLE,
-    "qshuffle": QUASI_SHUFFLE,
-    "quasi_shuffle": QUASI_SHUFFLE,
-    "explicit": EXPLICIT,
-}
-
-
 def parse_bracket_file(text, alphabet=None):
     """Parse the bracket table file format into a structure.
 
-    Without an "alphabet:" header (or an alphabet argument, which wins), the
-    letters mentioned in the body are collected with degree 1.
+    Without an "alphabet:" header (or an alphabet argument, which wins),
+    the letters are those words.infer_alphabet finds in the body.
     """
     mode = None
     bound = None
@@ -445,15 +449,15 @@ def parse_bracket_file(text, alphabet=None):
         low = line.lower()
         if low.startswith("mode:"):
             tag = line.split(":", 1)[1].strip()
-            mode = MODE_NAMES.get(tag)
-            if mode is None:
+            if tag not in MODE_NAMES:
                 raise InputError(f"unknown mode {tag!r}")
+            mode = MODE_NAMES[tag][0]
         elif low.startswith("alphabet:"):
             if alphabet is None:
                 alphabet = Alphabet(line.split(":", 1)[1])
         elif low.startswith("bound:"):
             try:
-                bound = int(line.split(":", 1)[1])
+                bound = parse_ints([line.split(":", 1)[1].strip()])[0]
             except ValueError:
                 raise InputError(f"bad bound in {line!r}") from None
         elif "=" in line and "->" not in line:
@@ -465,25 +469,11 @@ def parse_bracket_file(text, alphabet=None):
     if mode is None:
         raise InputError("missing \"mode:\" header")
     if alphabet is None:
-        names = set()
-        for line in mult_lines:
-            lhs, _, rhs = line.partition("=")
-            a, _, b = lhs.partition("*")
-            names.update({a.strip(), b.strip(), rhs.strip()})
-        for line in bracket_lines:
-            lhs, _, rhs = line.partition("->")
-            for word_text in lhs.split(","):
-                names.update(
-                    p.strip() for p in word_text.strip().split(".") if p.strip() != "1"
-                )
-            for chunk in rhs.split("+"):
-                chunk = chunk.strip()
-                word_text = chunk.rpartition("*")[2].strip()
-                if word_text not in ("", "0", "1"):
-                    names.update(p.strip() for p in word_text.split("."))
-        if not names:
-            raise InputError("cannot infer an alphabet from an empty table")
-        alphabet = Alphabet(sorted(names))
+        # the words of each "a * b = c" line and each "u , v -> value" line
+        alphabet = infer_alphabet(
+            [t for line in mult_lines for t in line.replace("=", "*").split("*")]
+            + [t for line in bracket_lines for t in line.replace("->", ",").split(",")]
+        )
     if mode == QUASI_SHUFFLE:
         mult = {}
         for line in mult_lines:

@@ -8,6 +8,9 @@ sorted canonically, and --json switches any element output to
 Exit codes: 0 on success, 2 on malformed input, 3 on a size-bound
 violation.
 
+Integer arguments are read by exactlin.parse_ints; without --alphabet or
+--table, words.infer_alphabet finds the letters, as for table files.
+
 A process executes only the layers its command uses.  binfty, idem,
 descent and topo are registered in sys.modules through
 importlib.util.LazyLoader, so each module body runs on its first
@@ -23,11 +26,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import re
 import sys
 
-from .exactlin import AlgebraError, InputError, SizeBoundError, format_terms
-from .words import IDENT, Alphabet, check_word_bound, parse_tensor, parse_word
+from .exactlin import AlgebraError, InputError, SizeBoundError, format_terms, parse_ints
+from .words import Alphabet, check_word_bound, infer_alphabet, parse_tensor, parse_word
 
 
 def _lazy_layer(name):
@@ -95,18 +97,6 @@ def _emit_report(args, report):
 # -- structure resolution -----------------------------------------------------
 
 
-def _infer_alphabet(texts):
-    names = set()
-    for t in texts:
-        for tok in re.split(r"[+*,\s]+", t):
-            for part in tok.split("."):
-                if IDENT.match(part):
-                    names.add(part)
-    if not names:
-        raise InputError("cannot infer an alphabet; give --alphabet or --table")
-    return Alphabet(sorted(names))
-
-
 def _structure(args, texts):
     """Resolve the bracket structure from --table, --mode, --alphabet."""
     table = getattr(args, "table", None)
@@ -120,32 +110,19 @@ def _structure(args, texts):
         except OSError as exc:
             raise InputError(f"cannot read table file {table}: {exc}") from None
         B = binfty.parse_bracket_file(text, alphabet)
-        if mode and binfty.MODE_NAMES.get(mode) != B.mode:
+        if mode and binfty.MODE_NAMES[mode][0] != B.mode:
             raise InputError(f"--mode {mode} contradicts the table file ({B.mode})")
         return B
-    if mode in (None, "shuffle"):
-        return binfty.BInftyStructure.shuffle(alphabet or _infer_alphabet(texts))
-    raise InputError(f"mode {mode!r} needs --table")
+    if mode and binfty.MODE_NAMES[mode][0] != binfty.SHUFFLE:
+        raise InputError(f"mode {mode!r} needs --table")
+    return binfty.BInftyStructure.shuffle(alphabet or infer_alphabet(texts))
 
 
 # -- word-side commands -------------------------------------------------------
 
 
-def cmd_shuffle(args):
-    alphabet = Alphabet(args.alphabet) if args.alphabet else _infer_alphabet(
-        [args.word, args.word2]
-    )
-    B = binfty.BInftyStructure.shuffle(alphabet)
-    w = parse_word(args.word, alphabet)
-    w2 = parse_word(args.word2, alphabet)
-    check_word_bound(len(w) + len(w2))
-    _emit_elem(args, binfty.induced_product(B, w, w2))
-
-
-def cmd_qshuffle(args):
-    B = _structure(args, [args.word, args.word2])
-    if B.mode != binfty.QUASI_SHUFFLE:
-        raise InputError("qshuffle needs a quasi_shuffle table (mode: qshuffle)")
+def _emit_product(args, B):
+    """The induced product of the words args.word and args.word2 under B."""
     w = parse_word(args.word, B.alphabet)
     w2 = parse_word(args.word2, B.alphabet)
     check_word_bound(len(w) + len(w2))
@@ -153,11 +130,15 @@ def cmd_qshuffle(args):
 
 
 def cmd_binf_prod(args):
+    """binf prod, and shuffle, whose parser has no --table or --mode."""
+    _emit_product(args, _structure(args, [args.word, args.word2]))
+
+
+def cmd_qshuffle(args):
     B = _structure(args, [args.word, args.word2])
-    w = parse_word(args.word, B.alphabet)
-    w2 = parse_word(args.word2, B.alphabet)
-    check_word_bound(len(w) + len(w2))
-    _emit_elem(args, binfty.induced_product(B, w, w2))
+    if B.mode != binfty.QUASI_SHUFFLE:
+        raise InputError("qshuffle needs a quasi_shuffle table (mode: qshuffle)")
+    _emit_product(args, B)
 
 
 def cmd_binf_check(args):
@@ -182,6 +163,7 @@ def cmd_varpi(args):
 def cmd_hoffman(args):
     B = _structure(args, [args.word])
     w = parse_word(args.word, B.alphabet)
+    check_word_bound(len(w))
     fn = idem.hoffman_log if args.which == "log" else idem.hoffman_exp
     _emit_elem(args, fn(B, w))
 
@@ -272,6 +254,11 @@ def cmd_topo(args):
 # -- parser -------------------------------------------------------------------
 
 
+def integer(text):
+    """An integer argument; argparse names this function in its error."""
+    return parse_ints([text])[0]
+
+
 def _json_parents():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON term schema")
@@ -301,7 +288,7 @@ def _build_shuffle(sub, name, help_text):
     sp.add_argument("--alphabet", metavar="SPEC")
     sp.add_argument("word")
     sp.add_argument("word2")
-    sp.set_defaults(func=cmd_shuffle)
+    sp.set_defaults(func=cmd_binf_prod)
 
 
 def _build_hoffman(sub, name, help_text):
@@ -321,7 +308,7 @@ def _build_binf(sub, name, help_text):
     sp.add_argument("word2")
     sp.set_defaults(func=cmd_binf_prod)
     sp = bsub.add_parser("check", parents=parents, help="bounded axiom report")
-    sp.add_argument("--budget", type=int, default=3, help="total length budget (default 3)")
+    sp.add_argument("--budget", type=integer, default=3, help="total length budget (default 3)")
     sp.set_defaults(func=cmd_binf_check)
 
 
@@ -331,17 +318,17 @@ def _build_desc(sub, name, help_text):
     )
     parents = _json_parents()
     sp = dsub.add_parser("dynkin", parents=parents, help="iterated-bracket element")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=integer)
     sp.set_defaults(func=cmd_desc)
     sp = dsub.add_parser("solomon", parents=parents, help="canonical Lie idempotent")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=integer)
     sp.set_defaults(func=cmd_desc)
     sp = dsub.add_parser("conv", parents=parents, help="convolution of two group algebra elements")
     sp.add_argument("g")
     sp.add_argument("h")
     sp.set_defaults(func=cmd_desc)
     sp = dsub.add_parser("check", parents=parents, help="descent identity report")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=integer)
     sp.set_defaults(func=cmd_desc)
 
 
@@ -364,7 +351,7 @@ def _build_topo(sub, name, help_text):
         sp.set_defaults(func=cmd_topo)
     for name, help_text in (("ladder", "the n-chain"), ("corolla", "the n-fan")):
         sp = tsub.add_parser(name, parents=parents, help=help_text)
-        sp.add_argument("n", type=int)
+        sp.add_argument("n", type=integer)
         sp.set_defaults(func=cmd_topo)
 
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate, combinations, permutations as _permutations
 from math import comb
-from operator import gt, index
+from operator import gt
 
 from .exactlin import (
-    ONE, Fraction, InputError, LinComb, SizeBoundError, format_terms, lin_sum, parse_scalar,
-    term_sum,
+    ONE, Fraction, InputError, LinComb, SizeBoundError, as_int, format_terms, lin_sum,
+    parse_ints, parse_terms, term_sum,
 )
 from .words import Word, compositions, prefixed
 
@@ -40,10 +40,7 @@ DEGREE_BOUND = 7
 
 
 def _check_degree(n):
-    try:
-        index(n)
-    except TypeError:
-        raise InputError(f"degree {n!r} is not an integer") from None
+    as_int(n, "degree")
     if n > DEGREE_BOUND:
         raise SizeBoundError(f"size bound: descent computations stop at n = {DEGREE_BOUND}")
     if n < 0:
@@ -56,10 +53,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        try:
-            images = tuple(map(index, images))
-        except TypeError:
-            raise InputError(f"not a permutation: {images!r} holds a non-integer") from None
+        images = tuple(as_int(v, "permutation image") for v in images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {images}")
@@ -87,13 +81,13 @@ class Permutation:
         """The composite "self, then other": i -> other(self(i))."""
         if other.n != self.n:
             raise InputError("degree mismatch")
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
+        return Permutation.trusted(tuple(other.images[v - 1] for v in self.images))
 
     def inverse(self):
         inv = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation.trusted(tuple(inv))
 
     def descent_set(self):
         return frozenset(
@@ -132,7 +126,7 @@ def parse_permutation(text):
     if not parts:
         raise InputError("empty permutation text")
     try:
-        images = [int(p) for p in parts]
+        images = parse_ints(parts)
     except ValueError:
         raise InputError(f"bad permutation {text!r}") from None
     return Permutation(images)
@@ -141,7 +135,7 @@ def parse_permutation(text):
 def permutations_of(n):
     _check_degree(n)
     for images in _permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield Permutation.trusted(images)
 
 
 class _DegreeElem:
@@ -223,24 +217,10 @@ class GroupAlgElem(_DegreeElem):
 
 
 def parse_group_alg(text):
-    terms = []
-    n = None
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise InputError(f"empty term in {text!r}")
-        if "*" in chunk:
-            coeff_text, _, perm_text = chunk.partition("*")
-            coeff = parse_scalar(coeff_text)
-        else:
-            coeff = ONE
-            perm_text = chunk
-        p = parse_permutation(perm_text)
-        if n is None:
-            n = p.n
-        elif n != p.n:
-            raise InputError("mixed degrees in one group algebra element")
-        terms.append((p, coeff))
+    terms = parse_terms(text, parse_permutation)
+    n = terms[0][0].n
+    if any(p.n != n for p, _ in terms):
+        raise InputError("mixed degrees in one group algebra element")
     return GroupAlgElem(n, LinComb.trusted(term_sum([(1, terms)])))
 
 
@@ -391,7 +371,7 @@ def convolution(g, h):
             images = tuple(I[sigma(i) - 1] for i in range(1, p + 1)) + tuple(
                 J[tau(j) - 1] for j in range(1, q + 1)
             )
-            yield Permutation(images), cd
+            yield Permutation.trusted(images), cd
 
     return GroupAlgElem(n, LinComb.trusted(term_sum(
         (1, shuffled(sigma, tau, c * d))
@@ -516,10 +496,8 @@ def _merges(comp, signed):
 
 def parse_composition(text):
     text = text.strip().strip("()")
-    if not text:
-        return ()
     try:
-        comp = tuple(int(p) for p in text.replace(",", " ").split())
+        comp = tuple(parse_ints(text.replace(",", " ").split()))
     except ValueError:
         raise InputError(f"bad composition {text!r}") from None
     if any(i < 1 for i in comp):

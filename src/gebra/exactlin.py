@@ -9,11 +9,18 @@ wraps it): Poly and LinComb arithmetic here, and the folds of words,
 binfty, descent and topo.  Two places update a dict entry by hand and are
 not sums: the Gaussian elimination in descent._row_reduce and the one-entry
 adjustment in words.inverse_structure_endo.
+
+The shared text readers live here too.  parse_ints is the one reader of
+integer text, ASCII digits with an optional sign: it refuses the digit
+underscores and non-ASCII digits that Python's int would take, as
+parse_scalar does.  as_int is the one check of integer values, and
+parse_terms reads the "c*key + key" term lists of words and descent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 
 class AlgebraError(ValueError):
@@ -38,13 +45,37 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _plain(text):
+    """No digit underscore and no non-ASCII character: the integer rule."""
+    return text.isascii() and "_" not in text
+
+
+def parse_ints(texts):
+    """The integers written in the strings texts, each ASCII digits with an
+    optional sign; the rule is checked once for all of them."""
+    if _plain("".join(texts)):
+        try:
+            return list(map(int, texts))
+        except ValueError:
+            pass
+    raise InputError(f"bad integer in {' '.join(texts)!r}")
+
+
+def as_int(x, what):
+    """x as an int through operator.index, so 2.5, 2.0 or "3" is refused."""
+    try:
+        return index(x)
+    except TypeError:
+        raise InputError(f"{what} {x!r} is not an integer") from None
+
+
 def parse_scalar(text):
     """Parse "p/q" (or "p") into a Fraction.  Decimal and exponent notation,
     digit underscores and non-ASCII digits are rejected."""
     text = text.strip()
     if "." in text:
         raise InputError(f"bad scalar {text!r}: decimal notation not accepted")
-    if "e" in text or "E" in text or "_" in text or not text.isascii():
+    if "e" in text or "E" in text or not _plain(text):
         raise InputError(f"bad scalar {text!r}: write an integer p or a fraction p/q")
     try:
         return Fraction(text)
@@ -52,6 +83,26 @@ def parse_scalar(text):
         raise InputError("zero divisor") from None
     except ValueError:
         raise InputError(f"bad scalar {text!r}") from None
+
+
+def parse_terms(text, parse_key, bare=None):
+    """The unsummed (key, coefficient) pairs of the term list "c*key + key".
+
+    A term splits on its first "*" into a scalar and parse_key of the rest;
+    bare reads a term without "*", by default as parse_key of it times 1.
+    """
+    terms = []
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise InputError(f"empty term in {text!r}")
+        coeff_text, star, key_text = chunk.partition("*")
+        if star:
+            coeff = parse_scalar(coeff_text)
+            terms.append((parse_key(key_text), coeff))
+        else:
+            terms.append(bare(chunk) if bare else (parse_key(chunk), ONE))
+    return terms
 
 
 def scalar_div(a, b):
@@ -75,11 +126,13 @@ class Poly:
         clean = {}
         if coeffs:
             for k, c in coeffs.items():
+                k = as_int(k, "exponent")
                 if k < 0:
                     raise InputError(f"negative exponent {k} in polynomial")
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
-                    clean[int(k)] = c
+                    clean[k] = c
         self.coeffs = clean
 
     @classmethod

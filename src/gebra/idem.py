@@ -37,7 +37,7 @@ from itertools import permutations
 from math import comb, factorial, lcm
 from operator import gt
 
-from .exactlin import Fraction, InputError, LinComb, reduced, term_sum
+from .exactlin import Fraction, InputError, LinComb, as_int, reduced, term_sum
 from .words import (
     apply_scaled,
     as_tensor,
@@ -215,7 +215,7 @@ class TangentEndo:
 
     def __init__(self, alphabet, table, bound):
         self.alphabet = alphabet
-        self.bound = int(bound)
+        self.bound = as_int(bound, "table bound")
         clean = {}
         for w, val in table.items():
             clean[w] = as_tensor(val) if val else LinComb.zero()

@@ -34,7 +34,6 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations, product as _product
 from math import comb
-from operator import index
 
 from .exactlin import (
     ONE,
@@ -44,7 +43,9 @@ from .exactlin import (
     Poly,
     SizeBoundError,
     ZERO,
+    as_int,
     lin_sum,
+    parse_ints,
     term_sum,
 )
 from .words import compositions
@@ -56,19 +57,29 @@ EULER_BOUND = 6
 ISO_BOUND = 6
 
 
-def _integer(x, what):
-    """x as an int through operator.index, so 2.5 or "3" is refused."""
-    try:
-        return index(x)
-    except TypeError:
-        raise InputError(f"{what} {x!r} is not an integer") from None
-
-
 def _vertex_count(n):
-    n = _integer(n, "vertex count")
+    n = as_int(n, "vertex count")
     if n < 0:
         raise InputError("negative vertex count")
     return n
+
+
+def _transitive_closure(rows):
+    """Close reflexive relation rows transitively, in place; return them.
+
+    A vertex k below no other vertex (rows[k] == 1 << k) adds nothing to the
+    rows of the vertices below it, so its pass is skipped.
+    """
+    n = len(rows)
+    for k in range(n):
+        bit = 1 << k
+        rk = rows[k]
+        if rk == bit:
+            continue
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rk
+    return rows
 
 
 class QuasiOrder:
@@ -90,23 +101,18 @@ class QuasiOrder:
                 raise InputError(f"expected {n} rows, got {len(rows)}")
             full = (1 << n) - 1
             for i, r in enumerate(rows):
-                r = _integer(r, "relation row")
+                r = as_int(r, "relation row")
                 if r & ~full:
                     raise InputError("relation bits out of vertex range")
                 base[i] |= r
-        self.rows = base
-        for k in range(n):
-            bit = 1 << k
-            rk = base[k]
-            for i in range(n):
-                if base[i] & bit:
-                    base[i] |= rk
+        self.rows = _transitive_closure(base)
 
     @classmethod
     def closed(cls, n, rows):
         """Wrap rows that are already reflexive and transitive: no checks,
         no closure.  For relations derived from a QuasiOrder by restriction,
-        relabeling, stacking or contraction."""
+        relabeling, stacking or contraction, and for rows that
+        _transitive_closure has closed."""
         q = cls.__new__(cls)
         q.n = n
         q.rows = rows
@@ -252,39 +258,32 @@ def parse_topology(text):
     if not text:
         raise InputError("empty topology text")
     head, sep, tail = text.partition(";")
+    ints = [head.strip()]  # the vertex count, then i, j for each i<j; i~j is i<j and j<i
+    for part in tail.split(",") if sep else ():
+        part = part.strip()
+        if "<" in part:
+            a, _, b = part.partition("<")
+            ints += a.strip(), b.strip()
+        elif "~" in part:
+            a, _, b = part.partition("~")
+            a, b = a.strip(), b.strip()
+            ints += a, b, b, a
+        elif part:
+            raise InputError(f"bad relation {part!r}: expected i<j or i~j")
     try:
-        n = int(head.strip())
+        ints = iter(parse_ints(ints))
     except ValueError:
-        raise InputError(f"bad vertex count {head.strip()!r}") from None
-    if n < 0:
-        raise InputError("negative vertex count")
+        raise InputError(f"bad vertex count or relation in {text!r}") from None
+    n = _vertex_count(next(ints))
     _check_vertex_count(n)
     rows = [1 << i for i in range(n)]
-    if sep:
-        for part in tail.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "<" in part:
-                a, _, b = part.partition("<")
-                both = False
-            elif "~" in part:
-                a, _, b = part.partition("~")
-                both = True
-            else:
-                raise InputError(f"bad relation {part!r}: expected i<j or i~j")
-            try:
-                i, j = int(a.strip()) - 1, int(b.strip()) - 1
-            except ValueError:
-                raise InputError(f"bad relation {part!r}") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"relation {part!r} mentions a vertex outside 1..{n}")
-            if i == j:
-                raise InputError(f"relation {part!r} relates a vertex to itself")
-            rows[i] |= 1 << j
-            if both:
-                rows[j] |= 1 << i
-    return QuasiOrder(n, rows)
+    for i, j in zip(ints, ints):
+        if not (0 < i <= n and 0 < j <= n):
+            raise InputError(f"relation between {i} and {j} mentions a vertex outside 1..{n}")
+        if i == j:
+            raise InputError(f"relation relates vertex {i} to itself")
+        rows[i - 1] |= 1 << (j - 1)
+    return QuasiOrder.closed(n, _transitive_closure(rows))
 
 
 _CANON_MEMO = {}
@@ -527,7 +526,7 @@ class Partition:
         norm = []
         seen = 0
         for b in blocks:
-            b = tuple(sorted(set(_integer(v, "vertex") for v in b)))
+            b = tuple(sorted(set(as_int(v, "vertex") for v in b)))
             if not b:
                 raise InputError("empty block")
             m = 0

@@ -12,7 +12,8 @@ and word_comb convert at the boundary.
 
 Text grammar: letters are identifiers joined by ".", the empty word is "1",
 an alphabet is declared as "a:1,b:2" (name:degree), and a linear combination
-reads like "3/2*a.b + -1*c".
+reads like "3/2*a.b + -1*c".  Undeclared, the alphabet is what
+infer_alphabet reads off the texts, for the command line and table files.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ from .exactlin import (
     InputError,
     LinComb,
     SizeBoundError,
+    as_int,
     lin_sum,
+    parse_ints,
+    parse_scalar,
+    parse_terms,
     reduced,
     term_sum,
 )
@@ -49,44 +54,26 @@ class Alphabet:
 
     def __init__(self, spec):
         if isinstance(spec, str):
-            entries = []
-            for chunk in spec.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                if ":" in chunk:
-                    name, _, deg = chunk.partition(":")
-                    entries.append((name.strip(), deg.strip()))
-                else:
-                    entries.append((chunk, 1))
+            chunks = [chunk.partition(":") for chunk in spec.split(",") if chunk.strip()]
+            try:
+                degrees = parse_ints([deg.strip() if colon else "1" for _, colon, deg in chunks])
+            except ValueError:
+                raise InputError(f"bad degree in alphabet {spec!r}") from None
+            entries = [(name.strip(), deg) for (name, _, _), deg in zip(chunks, degrees)]
         else:
-            entries = []
-            for item in spec:
-                if isinstance(item, str):
-                    entries.append((item, 1))
-                else:
-                    name, deg = item
-                    entries.append((name, deg))
-        letters = []
-        degrees = []
+            entries = [(item, 1) if isinstance(item, str) else item for item in spec]
+            entries = [(name, as_int(deg, "letter degree")) for name, deg in entries]
         for name, deg in entries:
             if not IDENT.match(name):
                 raise InputError(f"bad letter name {name!r}")
-            try:
-                deg = int(deg)
-            except (TypeError, ValueError):
-                raise InputError(f"bad degree {deg!r} for letter {name!r}") from None
             if deg < 1:
                 raise InputError(f"degree of letter {name!r} must be >= 1")
-            letters.append(name)
-            degrees.append(deg)
-        if len(set(letters)) != len(letters):
-            raise InputError("duplicate letter names")
-        if not letters:
+        if not entries:
             raise InputError("empty alphabet")
-        self.letters = tuple(letters)
-        self.degrees = tuple(degrees)
-        self._index = {name: i for i, name in enumerate(letters)}
+        self.letters, self.degrees = map(tuple, zip(*entries))
+        if len(set(self.letters)) != len(self.letters):
+            raise InputError("duplicate letter names")
+        self._index = {name: i for i, name in enumerate(self.letters)}
 
     def index(self, name):
         try:
@@ -211,30 +198,33 @@ def parse_word(text, alphabet):
 
 def parse_tensor(text, alphabet):
     """Parse "3/2*a.b + -1*c" into a linear combination of words."""
-    from .exactlin import parse_scalar
 
-    terms = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise InputError(f"empty term in {text!r}")
-        if "*" in chunk:
-            coeff_text, _, word_text = chunk.partition("*")
-            coeff = parse_scalar(coeff_text)
-            w = parse_word(word_text, alphabet)
-        else:
-            # A bare word, or a bare scalar standing on the unit word; a
-            # term made of identifiers alone can only be a word.
-            try:
-                w = parse_word(chunk, alphabet)
-                coeff = ONE
-            except InputError:
-                if all(IDENT.match(part.strip()) for part in chunk.split(".")):
-                    raise
-                coeff = parse_scalar(chunk)
-                w = alphabet.empty_word()
-        terms.append((w, coeff))
+    def bare(term):
+        # A bare word, or a bare scalar standing on the unit word; a term
+        # made of identifiers alone can only be a word.
+        try:
+            return parse_word(term, alphabet), ONE
+        except InputError:
+            if all(IDENT.match(part.strip()) for part in term.split(".")):
+                raise
+            return alphabet.empty_word(), parse_scalar(term)
+
+    terms = parse_terms(text, lambda word_text: parse_word(word_text, alphabet), bare)
     return LinComb.trusted(term_sum([(1, terms)]))
+
+
+def infer_alphabet(texts):
+    """The letters that texts name, each of degree 1, in sorted order.
+
+    A text is a word or a term list as parse_tensor reads it: the word of a
+    term is what follows its last "*", and a part that is no identifier
+    (the unit word "1", a bare scalar) names no letter.
+    """
+    names = {part for text in texts for term in text.split("+")
+             for part in map(str.strip, term.rpartition("*")[2].split(".")) if IDENT.match(part)}
+    if not names:
+        raise InputError("cannot infer an alphabet: the input names no letter")
+    return Alphabet(sorted(names))
 
 
 def check_word_bound(length):

@@ -362,6 +362,9 @@ def test_parse_bracket_file_errors():
         parse_bracket_file("mode: explicit\nalphabet: a:1\nthis is not a line\n")
     with pytest.raises(InputError, match="multiplication table is not total"):
         parse_bracket_file("mode: qshuffle\nalphabet: a:1, b:1\na * a = b\n")
+    for bound in ("\u0663", "1_0"):
+        with pytest.raises(InputError, match="bad bound"):
+            parse_bracket_file(f"mode: explicit\nalphabet: a, b\nbound: {bound}\na , a -> b\n")
 
 
 @settings(max_examples=40)

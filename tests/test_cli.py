@@ -937,6 +937,7 @@ def _timed_run(*argv):
     ("shuffle", "a.b.c.d.e", "f.g.h.i"),
     ("shuffle", "a.b.c.d.e.f.g.h.i.j.k.l", "m.n.o.p.q.r.s.t.u.v.w.x"),
     ("qshuffle", "--table", "@qs", "x1.x2.x3.x1.x2", "x3.x1.x2.x3"),
+    ("hoffman", "exp", "--table", "@qs", "x1.x1.x1.x1.x1.x1.x1.x1.x1"),
 ], ids=" ".join)
 def test_word_past_the_bound_exits_3_within_1s(argv, table_paths):
     code, out, err, elapsed = _timed_run(*[table_paths.get(a, a) for a in argv])
@@ -1022,6 +1023,10 @@ def test_malformed_input_exit_code():
         ("desc", "conv", "1 3", "1"),
         ("topo", "upsilon", "0"),
         ("hoffman", "log", "--alphabet", "a,b", "a.b"),
+        ("topo", "lambda", "\u0663; \u0661<\u0662"),
+        ("topo", "lambda", "1_0"),
+        ("desc", "conv", "\u0662 \u0661", "1"),
+        ("omega", "--alphabet", "a:\u0662,b", "a.b"),
     ):
         code, out, err = run(*argv)
         assert code == 2, argv
@@ -1082,6 +1087,8 @@ USAGE_GOLDEN = [
     (("desc", "frob", "3"), 2, EMPTY_SHA, "28be6a28dedf477535af15458dc5988056c85dff83165b36c8282aac73b202a2"),
     (("eulerian", "--mode", "bogus", "a"), 2, EMPTY_SHA,
      "e1902db67bd35ca89de3bf25950255c2e5d2f7568dc7dac667e08e5eff361fd3"),
+    (("desc", "solomon", "\u0663"), 2, EMPTY_SHA,
+     "7564e48dc3d0510810f0e6e1360cb1183f02ba944d5e252d7d2bbbd4aebcf507"),
 ]
 
 

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from gebra.exactlin import InputError, LinComb, SizeBoundError, lin_sum
+from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError, lin_sum
 from gebra.words import Alphabet, parse_word
+from gebra.binfty import BInftyStructure
+from gebra.idem import TangentEndo
 from gebra.descent import (
     DescElem,
     GroupAlgElem,
@@ -67,8 +69,13 @@ def test_permutation_basics():
         solomon_desc,
         GroupAlgElem,
         lambda v: DescElem(v, {}),
+        lambda v: Alphabet([("a", v), "b"]),
+        lambda v: BInftyStructure.explicit(Alphabet("a"), {}, bound=v),
+        lambda v: TangentEndo(Alphabet("a"), {}, v),
+        lambda v: Poly({v: 1}),
     ],
-    ids=["Permutation", "dynkin_desc", "solomon_desc", "GroupAlgElem", "DescElem"],
+    ids=["Permutation", "dynkin_desc", "solomon_desc", "GroupAlgElem", "DescElem",
+         "Alphabet-degree", "BInftyStructure-bound", "TangentEndo-bound", "Poly-exponent"],
 )
 @pytest.mark.parametrize("v", [1.5, 2.0, "2"])
 def test_constructors_refuse_non_integers(make, v):
