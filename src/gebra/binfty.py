@@ -39,6 +39,8 @@ Bracket table file format::
     bound: 6                  # optional for explicit mode
     a , a -> 2*b              # explicit bracket lines
     a * b = c                 # qshuffle multiplication lines
+
+A bracket or multiplication line in a mode that does not read it is refused.
 """
 
 from __future__ import annotations
@@ -468,6 +470,9 @@ def parse_bracket_file(text, alphabet=None):
             raise InputError(f"unparseable table line {line!r}")
     if mode is None:
         raise InputError("missing \"mode:\" header")
+    for lines, reader in ((mult_lines, QUASI_SHUFFLE), (bracket_lines, EXPLICIT)):
+        if lines and mode != reader:
+            raise InputError(f"table line {lines[0]!r} is not read in {mode} mode")
     if alphabet is None:
         # the words of each "a * b = c" line and each "u , v -> value" line
         alphabet = infer_alphabet(

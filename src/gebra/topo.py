@@ -19,8 +19,10 @@ its integral lambda over [-1, 0], and the Eulerian idempotent
 e = (lambda (x) Id) o delta.
 
 Every operation depends only on the isoclass of its input, so each one is
-computed once per class: the class routes below are `functools.cache`d on
-the QuasiOrderClass, which hashes and compares by its key.  Canonical
+computed once per class: both coproducts, the antipode, pi, e, pi o e,
+Upsilon, lambda and the rendered keys are `functools.cache`d on the
+QuasiOrderClass, which hashes (once) and compares by its key, and a class
+gets the cached value itself back (`_linear`), with no arithmetic.  Canonical
 forms are memoized on the labeled input as well, in the one dict
 `_CANON_MEMO`.  The basis in degree n, `all_isoclasses(n)`, is grown by
 one-point extension from degree n - 1 and cached per n.  Reads are
@@ -294,10 +296,11 @@ class QuasiOrderClass:
 
     Over all relabelings the matrix is flattened row-major and the least is
     kept (`_lex_min_rows`); two quasi-orders canonicalize equal iff they are
-    isomorphic.  Labeled inputs already seen are answered from a memo.
+    isomorphic.  Labeled inputs already seen are answered from a memo that
+    keeps the key's hash too.
     """
 
-    __slots__ = ("q", "key")
+    __slots__ = ("q", "key", "_hash")
 
     def __init__(self, q):
         if q.n > CANON_BOUND:
@@ -305,27 +308,29 @@ class QuasiOrderClass:
         memo_key = (q.n, tuple(q.rows))
         hit = _CANON_MEMO.get(memo_key)
         if hit is not None:
-            self.q, self.key = hit
+            self.q, self.key, self._hash = hit
             return
         n = q.n
         best = _lex_min_rows(q.rows, n)
         rows = [sum(1 << j for j in range(n) if (val >> (n - 1 - j)) & 1) for val in best]
-        self.q = QuasiOrder.closed(n, rows)
-        self.key = (n, best)
-        _CANON_MEMO[memo_key] = (self.q, self.key)
-        _CANON_MEMO[(n, tuple(self.q.rows))] = (self.q, self.key)
+        key = (n, best)
+        entry = (QuasiOrder.closed(n, rows), key, hash(key))
+        self.q, self.key, self._hash = entry
+        _CANON_MEMO[memo_key] = _CANON_MEMO[(n, tuple(rows))] = entry
 
     @property
     def n(self):
         return self.q.n
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, QuasiOrderClass):
             return NotImplemented
         return self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __lt__(self, other):
         return self.key < other.key
@@ -442,6 +447,21 @@ def as_topo_elem(x):
     return LinComb.single(as_class(x))
 
 
+def _linear(x, route, check=None, total=lin_sum):
+    """route, a map on classes, extended linearly to x: a class, a text or
+    QuasiOrder naming one, or a combination of classes, whose terms check
+    sees first.  One class with coefficient 1 gets route's value itself,
+    shared when route is cached; else total sums (coefficient, value) pairs."""
+    terms = x.terms if isinstance(x, LinComb) else {as_class(x): ONE}
+    if check is not None:
+        check(terms)
+    if len(terms) == 1:
+        ((tc, c),) = terms.items()
+        if c == 1:
+            return route(tc)
+    return total((c, route(tc)) for tc, c in terms.items())
+
+
 def unit_class():
     return QuasiOrderClass(QuasiOrder(0))
 
@@ -493,7 +513,6 @@ def topo_name(tc):
     return None
 
 
-@cache
 def render_topo(tc):
     """Short name when there is one, else the grammar text in brackets
     (the text contains commas, so it is fenced off inside term lists)."""
@@ -501,10 +520,11 @@ def render_topo(tc):
     return name if name is not None else f"[{tc.q.to_text()}]"
 
 
+@cache
 def render_basis(key):
     """Render a basis key: an isoclass or a tuple of them (tensor factors)."""
     if isinstance(key, tuple):
-        return " (x) ".join(render_topo(t) for t in key)
+        return " (x) ".join(map(render_basis, key))
     return render_topo(key)
 
 
@@ -785,10 +805,7 @@ def inf_pi(x):
     the antipode S (Takeuchi's formula); each class's image is read off the
     memoized antipode recursion, not summed over chains of open sets.
     """
-    x = as_topo_elem(x)
-    if any(tc.n == 0 for tc in x.terms):
-        raise InputError("not augmentation-reduced")
-    return lin_sum((-c, _antipode_class(tc)) for tc, c in x.terms.items())
+    return _linear(x, _pi_class)
 
 
 def binf_bracket(xs, ys):
@@ -880,13 +897,10 @@ def lambda_char(x, method="upsilon_integral"):
         route = _lambda_delta_series
     else:
         raise InputError(f"unknown method {method!r}")
-    x = as_topo_elem(x)
-    total = ZERO
-    for tc, c in x.items():
-        total += c * route(tc)
-    return total
+    return _linear(x, route, total=lambda pairs: sum((c * v for c, v in pairs), ZERO))
 
 
+@cache
 def _lambda_class(tc):
     if tc.n == 0:
         return ZERO
@@ -908,8 +922,8 @@ def _lambda_delta_series(tc):
 
 # -- Eulerian idempotent -----------------------------------------------------
 
-def _check_euler_bound(x):
-    if any(tc.n > EULER_BOUND for tc in x.terms):
+def _check_euler_bound(terms):
+    if any(tc.n > EULER_BOUND for tc in terms):
         raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
 
 
@@ -926,9 +940,7 @@ def eulerian_e(t, method="via_delta"):
         route = _e_direct
     else:
         raise InputError(f"unknown method {method!r}")
-    x = as_topo_elem(t)
-    _check_euler_bound(x)
-    return x.apply(route)
+    return _linear(t, route, _check_euler_bound)
 
 
 @cache
@@ -952,14 +964,12 @@ def _e_direct(tc):
 
 def canonical_pi_idem(t):
     """pi composed with the Eulerian idempotent; lands in the primitives."""
-    x = as_topo_elem(t)
-    _check_euler_bound(x)
-    return x.apply(_pieul_class)
+    return _linear(t, _pieul_class, _check_euler_bound)
 
 
 @cache
 def _pieul_class(tc):
-    return inf_pi(_e_class(tc))
+    return _e_class(tc).apply(_pi_class)
 
 
 # -- antipode of (down, Delta) -----------------------------------------------
@@ -971,7 +981,7 @@ def antipode(t):
     On the augmentation ideal -S is pi (not at the unit); inf_pi reads it
     from here.
     """
-    return as_topo_elem(t).apply(_antipode_class)
+    return _linear(t, _antipode_class)
 
 
 @cache
@@ -986,6 +996,13 @@ def _antipode_class(tc):
             for a, ca in _antipode_class(canonicalize(left)).terms.items()
         ]
     )
+
+
+@cache
+def _pi_class(tc):
+    if tc.n == 0:
+        raise InputError("not augmentation-reduced")
+    return -_antipode_class(tc)
 
 
 # -- named families and closed forms -----------------------------------------

@@ -1,6 +1,7 @@
 """Brackets, induced products, and the bracket table file format."""
 
 import itertools
+import re
 
 import pytest
 from fractions import Fraction
@@ -11,6 +12,7 @@ from gebra.exactlin import InputError, LinComb, SizeBoundError
 from gebra.words import Alphabet, parse_tensor, parse_word
 from gebra.binfty import (
     AXIOM_CHECK_BOUND,
+    QUASI_SHUFFLE,
     BInftyStructure,
     axiom_check_size,
     check_axioms,
@@ -365,6 +367,16 @@ def test_parse_bracket_file_errors():
     for bound in ("\u0663", "1_0"):
         with pytest.raises(InputError, match="bad bound"):
             parse_bracket_file(f"mode: explicit\nalphabet: a, b\nbound: {bound}\na , a -> b\n")
+    qs_total = "a * a = b\na * b = b\nb * a = b\nb * b = b\n"
+    for mode, body, line in (
+        ("shuffle", "a , a -> b\n", "a , a -> b"),
+        ("shuffle", "a * a = b\n", "a * a = b"),
+        ("explicit", "a , a -> b\na * a = b\n", "a * a = b"),
+        ("qshuffle", qs_total + "a , b -> 1/2*a\n", "a , b -> 1/2*a"),
+    ):
+        with pytest.raises(InputError, match=re.escape(repr(line)) + " is not read"):
+            parse_bracket_file(f"mode: {mode}\nalphabet: a, b\n{body}")
+    assert parse_bracket_file(f"mode: qshuffle\nalphabet: a, b\n{qs_total}").mode == QUASI_SHUFFLE
 
 
 @settings(max_examples=40)

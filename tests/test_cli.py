@@ -126,6 +126,14 @@ def test_table_file_explicit(tmp_path):
     assert out == "unit: pass\nassoc: pass\ncomm: pass\ntrivial: fail\n"
 
 
+def test_table_line_the_mode_does_not_read_exits_2(tmp_path):
+    tbl = tmp_path / "sh.tbl"
+    tbl.write_text("mode: shuffle\nalphabet: a, b\na , a -> b\n")
+    code, out, err = run("binf", "prod", "--table", str(tbl), "a", "a")
+    assert (code, out) == (2, "")
+    assert err == "error: table line 'a , a -> b' is not read in shuffle mode\n"
+
+
 def test_binf_check_shuffle_report():
     out = run_ok("binf", "check", "--alphabet", "a,b", "--budget", "3")
     assert out == "unit: pass\nassoc: pass\ncomm: pass\ntrivial: pass\n"

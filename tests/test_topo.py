@@ -973,11 +973,14 @@ def clear_topo_memos():
 
 
 def memoized_results(q):
-    """coproduct_Delta, coproduct_delta and canonical_pi_idem of q, and every
-    text render_basis gives for q and for those results."""
+    """coproduct_Delta, coproduct_delta, canonical_pi_idem, inf_pi and
+    eulerian_e of q, and every text render_basis gives for q and for those
+    results, with lambda_char of q."""
     tc = as_class(q)
-    results = [coproduct_Delta(tc), coproduct_delta(tc), canonical_pi_idem(tc)]
-    return results, [render_basis(tc)] + [format_terms(x, render=render_basis) for x in results]
+    results = [coproduct_Delta(tc), coproduct_delta(tc), canonical_pi_idem(tc), inf_pi(tc),
+               eulerian_e(tc)]
+    texts = [render_basis(tc), str(lambda_char(tc))]
+    return results, texts + [format_terms(x, render=render_basis) for x in results]
 
 
 def test_memoized_results_match_cold_ones_after_caller_arithmetic():
@@ -993,10 +996,60 @@ def test_memoized_results_match_cold_ones_after_caller_arithmetic():
             assert x - x == LinComb.zero()
             assert lin_sum([(3, x), (-2, x)]) == -(-x)
         assert inf_pi(cold[2]) == cold[2]
+        assert inf_pi(cold[3]) == cold[3]
+        assert eulerian_e(cold[4]) == cold[4]
         warm, warm_texts = memoized_results(relabel(q, rng.sample(range(q.n), q.n)))
         assert [x.terms for x in cold] == kept, q
         assert [x.terms for x in warm] == kept, q
         assert warm_texts == cold_texts, q
+
+
+ROUTES_AND_ORACLES = [
+    (inf_pi, pi_chain_oracle),
+    (antipode, lambda tc: -pi_chain_oracle(tc)),
+    (eulerian_e, lambda tc: eulerian_e(tc, method="direct")),
+    (canonical_pi_idem, lambda tc: eulerian_e(tc, method="direct").apply(pi_chain_oracle)),
+    (lambda_char, lambda tc: lambda_char(tc, method="delta_series")),
+]
+
+
+def test_a_class_gets_the_shared_cached_result():
+    for tc in iso_upto(5):
+        one_term = LinComb.single(tc)
+        for route, oracle in ROUTES_AND_ORACLES:
+            first = route(tc)
+            assert route(one_term) is first, (route.__name__, tc)
+            assert route(tc) is first, (route.__name__, tc)
+            assert first == oracle(tc), (route.__name__, tc)
+    with pytest.raises(InputError, match="not augmentation-reduced"):
+        inf_pi(unit_class())
+    with pytest.raises(InputError, match="not augmentation-reduced"):
+        inf_pi(LinComb.single(unit_class()))
+    seven = as_class("7; 1<2")
+    for route in (eulerian_e, canonical_pi_idem):
+        for arg in (seven, LinComb.single(seven), E((1, D1), (2, seven))):
+            with pytest.raises(SizeBoundError, match="size bound"):
+                route(arg)
+
+
+def test_a_class_hashes_alike_when_built_cold_and_from_the_memo():
+    rng = random.Random(67)
+    classes = iso_upto(5)
+    built = []
+    for tc in classes:
+        q = tc.q
+        labeled = relabel(q, rng.sample(range(q.n), q.n))
+        clear_topo_memos()
+        cold = QuasiOrderClass(labeled)
+        assert (q.n, tuple(q.rows)) in topo._CANON_MEMO
+        hit = QuasiOrderClass(QuasiOrder.closed(q.n, list(q.rows)))
+        built.append((cold, hit))
+    clear_topo_memos()
+    for tc, (cold, hit) in zip(classes, built):
+        again = as_class(str(tc))
+        for x in (cold, hit, again):
+            assert x == tc and hash(x) == hash(tc) == hash(tc.key), tc
+    assert len(set(classes) | {x for pair in built for x in pair}) == len(classes)
 
 
 def test_size_bounds_are_checked_before_the_memos():
