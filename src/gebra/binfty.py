@@ -36,11 +36,13 @@ Bracket table file format::
 
     mode: explicit            # or: shuffle | qshuffle
     alphabet: a:1,b:2         # optional; else words.infer_alphabet, as on the command line
-    bound: 6                  # optional for explicit mode
+    bound: 6                  # explicit mode only, optional
     a , a -> 2*b              # explicit bracket lines
     a * b = c                 # qshuffle multiplication lines
 
-A bracket or multiplication line in a mode that does not read it is refused.
+A bracket line, multiplication line or bound header in a mode that does not
+read it is refused.  words.WORD_BOUND bounds the total length of a product
+and the budget of check_axioms, AXIOM_CHECK_BOUND the tuples it visits.
 """
 
 from __future__ import annotations
@@ -185,12 +187,9 @@ class BInftyStructure:
         if head is not None:
             return head
         if self.bound is not None and max(len(a), len(b)) > self.bound:
-            raise self.past_bound(Word._trusted(self.alphabet, a), Word._trusted(self.alphabet, b))
+            w, w2 = (Word._trusted(self.alphabet, t) for t in (a, b))
+            raise InputError(f"bracket evaluated outside the table bound {self.bound}: ({w}, {w2})")
         return ()
-
-    def past_bound(self, w, w2):
-        """The error for an explicit table evaluated past its bound."""
-        return InputError(f"bracket evaluated outside the table bound {self.bound}: ({w}, {w2})")
 
     def index_terms(self, x):
         """x as kernel terms (alphabet, terms, d), as words.index_terms gives.
@@ -269,13 +268,14 @@ def induced_product(B, x, y):
     For words it is the sum over pairs of decompositions of both arguments
     into the same number of possibly-empty blocks, each index contributing
     one bracketed letter.  The empty-against-empty index vanishes, so the
-    sum is finite; 1 * 1 = 1.  The products of pairs of index tuples are
-    memoized for this call only.
+    sum is finite; 1 * 1 = 1.  A total length past WORD_BOUND is refused.
+    The products of pairs of index tuples are memoized for this call only.
     """
     alphabet, xs, d = B.index_terms(x)
     alphabet2, ys, d2 = B.index_terms(y)
     if alphabet is not None and alphabet2 is not None:
         same_alphabet(alphabet, alphabet2)
+    check_word_bound(max(map(len, xs), default=0) + max(map(len, ys), default=0))
     memo = {}
     out = term_sum(
         (c * c2, product_terms(B, w, w2, memo).items())
@@ -442,6 +442,7 @@ def parse_bracket_file(text, alphabet=None):
     """
     mode = None
     bound = None
+    bound_lines = []
     mult_lines = []
     bracket_lines = []
     for raw in text.splitlines():
@@ -462,6 +463,7 @@ def parse_bracket_file(text, alphabet=None):
                 bound = parse_ints([line.split(":", 1)[1].strip()])[0]
             except ValueError:
                 raise InputError(f"bad bound in {line!r}") from None
+            bound_lines.append(line)
         elif "=" in line and "->" not in line:
             mult_lines.append(line)
         elif "->" in line:
@@ -470,7 +472,7 @@ def parse_bracket_file(text, alphabet=None):
             raise InputError(f"unparseable table line {line!r}")
     if mode is None:
         raise InputError("missing \"mode:\" header")
-    for lines, reader in ((mult_lines, QUASI_SHUFFLE), (bracket_lines, EXPLICIT)):
+    for lines, reader in ((mult_lines, QUASI_SHUFFLE), (bracket_lines + bound_lines, EXPLICIT)):
         if lines and mode != reader:
             raise InputError(f"table line {lines[0]!r} is not read in {mode} mode")
     if alphabet is None:

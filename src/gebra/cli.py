@@ -29,7 +29,7 @@ import json
 import sys
 
 from .exactlin import AlgebraError, InputError, SizeBoundError, format_terms, parse_ints
-from .words import Alphabet, check_word_bound, infer_alphabet, parse_tensor, parse_word
+from .words import Alphabet, infer_alphabet, parse_tensor, parse_word
 
 
 def _lazy_layer(name):
@@ -125,7 +125,6 @@ def _emit_product(args, B):
     """The induced product of the words args.word and args.word2 under B."""
     w = parse_word(args.word, B.alphabet)
     w2 = parse_word(args.word2, B.alphabet)
-    check_word_bound(len(w) + len(w2))
     _emit_elem(args, binfty.induced_product(B, w, w2))
 
 
@@ -148,48 +147,31 @@ def cmd_binf_check(args):
 
 def cmd_eulerian(args):
     B = _structure(args, [args.word])
-    w = parse_word(args.word, B.alphabet)
-    check_word_bound(len(w))
-    _emit_elem(args, idem.eulerian_idempotent(B, w))
+    _emit_elem(args, idem.eulerian_idempotent(B, parse_word(args.word, B.alphabet)))
 
 
 def cmd_varpi(args):
     B = _structure(args, [args.word])
-    w = parse_word(args.word, B.alphabet)
-    check_word_bound(len(w))
-    _emit_elem(args, idem.varpi(B, w))
+    _emit_elem(args, idem.varpi(B, parse_word(args.word, B.alphabet)))
 
 
 def cmd_hoffman(args):
     B = _structure(args, [args.word])
-    w = parse_word(args.word, B.alphabet)
-    check_word_bound(len(w))
     fn = idem.hoffman_log if args.which == "log" else idem.hoffman_exp
-    _emit_elem(args, fn(B, w))
-
-
-def _bounded_tensor(args):
-    B = _structure(args, [args.expr])
-    x = parse_tensor(args.expr, B.alphabet)
-    check_word_bound(max(map(len, x.terms), default=0))
-    return B, x
+    _emit_elem(args, fn(B, parse_word(args.word, B.alphabet)))
 
 
 def cmd_omega(args):
-    B, x = _bounded_tensor(args)
-    _emit_elem(args, idem.omega_tilde(B, x))
+    B = _structure(args, [args.expr])
+    _emit_elem(args, idem.omega_tilde(B, parse_tensor(args.expr, B.alphabet)))
 
 
 def cmd_zeta(args):
-    B, x = _bounded_tensor(args)
-    _emit_elem(args, idem.zeta_tilde(B, x))
+    B = _structure(args, [args.expr])
+    _emit_elem(args, idem.zeta_tilde(B, parse_tensor(args.expr, B.alphabet)))
 
 
 # -- descent commands ---------------------------------------------------------
-
-
-def _is_primitive_desc(d):
-    return all(l == () or r == () for (l, r), _ in descent.desc_coproduct(d).items())
 
 
 def cmd_desc(args):
@@ -203,20 +185,7 @@ def cmd_desc(args):
         h = descent.parse_group_alg(args.h)
         _emit_elem(args, descent.convolution(g, h).terms)
     elif sub == "check":
-        n = args.n
-        sn = descent.solomon_desc(n)
-        dn = descent.dynkin_desc(n)
-        report = {
-            "solomon_idempotent": sn.internal_product(sn) == sn,
-            "solomon_primitive": _is_primitive_desc(sn),
-            "solomon_matches_log_oracle": sn == descent.solomon_log_series(n),
-            "dynkin_primitive": _is_primitive_desc(dn),
-            "dynkin_quasi_idempotent": dn.internal_product(dn) == dn.scale(n),
-        }
-        if n <= descent.LIE_CHECK_BOUND:
-            report["solomon_lie_valued"] = descent.lie_projection_check(sn.expand())
-            report["dynkin_lie_valued"] = descent.lie_projection_check(dn.expand())
-        _emit_report(args, report)
+        _emit_report(args, descent.identity_report(args.n))
 
 
 # -- topology commands --------------------------------------------------------

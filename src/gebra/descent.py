@@ -20,7 +20,9 @@ tests compare against: de_equal, de_subset, internal_product and
 convolution on GroupAlgElem, solomon_log_oracle and lie_projection_check.
 Every combination, in either basis or in the group algebra, is summed by
 exactlin.term_sum or lin_sum; the one dict updated by hand is the Gaussian
-elimination in _row_reduce.  Degrees stop at n = 7 (DEGREE_BOUND).
+elimination in _row_reduce.  Degrees stop at DEGREE_BOUND (_check_degree),
+the Lie membership test at LIE_CHECK_BOUND; identity_report is the report
+`gebra desc check` prints.
 """
 
 from __future__ import annotations
@@ -624,3 +626,26 @@ def lie_projection_check(g):
     vec = {p.images: c for p, c in g.terms.items() if c}
     _, lead = _row_reduce(vec, lie_pivots(n))
     return lead is None
+
+
+def _is_primitive(d):
+    return all(l == () or r == () for (l, r), _ in desc_coproduct(d).items())
+
+
+def identity_report(n):
+    """The identities of Solomon's idempotent and the Dynkin element in
+    degree n, name -> holds, in printing order; the Lie membership tests,
+    which expand both into S_n, only up to LIE_CHECK_BOUND."""
+    sn = solomon_desc(n)
+    dn = dynkin_desc(n)
+    report = {
+        "solomon_idempotent": sn.internal_product(sn) == sn,
+        "solomon_primitive": _is_primitive(sn),
+        "solomon_matches_log_oracle": sn == solomon_log_series(n),
+        "dynkin_primitive": _is_primitive(dn),
+        "dynkin_quasi_idempotent": dn.internal_product(dn) == dn.scale(n),
+    }
+    if n <= LIE_CHECK_BOUND:
+        report["solomon_lie_valued"] = lie_projection_check(sn.expand())
+        report["dynkin_lie_valued"] = lie_projection_check(dn.expand())
+    return report

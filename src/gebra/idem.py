@@ -41,6 +41,7 @@ from .exactlin import Fraction, InputError, LinComb, as_int, reduced, term_sum
 from .words import (
     apply_scaled,
     as_tensor,
+    check_word_bound,
     lift_comb,
     memo_lift,
     prefixed,
@@ -307,6 +308,7 @@ def zeta_tilde(B, x):
 
 
 def _fold_mult(B_or_mult, w):
+    check_word_bound(len(w))
     if isinstance(B_or_mult, BInftyStructure):
         if B_or_mult.mode != QUASI_SHUFFLE:
             raise InputError("Hoffman closed forms need a quasi_shuffle structure")

@@ -29,6 +29,11 @@ one-point extension from degree n - 1 and cached per n.  Reads are
 concurrency-safe and insertions idempotent, so racing threads can only
 repeat work, never corrupt a result.  Memoized results are shared objects:
 nothing may mutate them.
+
+Each size bound is checked by one function before anything is allocated:
+CANON_BOUND by _check_canon_bound, in every constructor and parser and in
+open_mask_list, DELTA_BOUND and EULER_BOUND by _check_delta_bound and
+_check_euler_bound, ISO_BOUND by all_isoclasses.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .exactlin import (
 from .words import compositions
 
 CANON_BOUND = 8
-OPENS_BOUND = 15
 DELTA_BOUND = 7
 EULER_BOUND = 6
 ISO_BOUND = 6
@@ -152,8 +156,7 @@ class QuasiOrder:
 
     def open_mask_list(self):
         """All up-closed subsets as bitmasks, ascending."""
-        if self.n > OPENS_BOUND:
-            raise SizeBoundError(f"size bound: open-set enumeration stops at n = {OPENS_BOUND}")
+        _check_canon_bound(self.n)
         out = []
         for O in range(1 << self.n):
             up = 0
@@ -247,11 +250,11 @@ class QuasiOrder:
         return f"QuasiOrder({self.n}, {self.rows!r})"
 
 
-def _check_vertex_count(n):
-    """Refuse, before anything is allocated, more vertices than any
-    topology computation here can take."""
-    if n > OPENS_BOUND:
-        raise SizeBoundError(f"size bound: topologies stop at n = {OPENS_BOUND}")
+def _check_canon_bound(n):
+    """Refuse, before anything is allocated, more vertices than a canonical
+    form takes; every class, and so every topology operation, needs one."""
+    if n > CANON_BOUND:
+        raise SizeBoundError(f"size bound: canonical forms stop at n = {CANON_BOUND}")
 
 
 def parse_topology(text):
@@ -277,7 +280,7 @@ def parse_topology(text):
     except ValueError:
         raise InputError(f"bad vertex count or relation in {text!r}") from None
     n = _vertex_count(next(ints))
-    _check_vertex_count(n)
+    _check_canon_bound(n)
     rows = [1 << i for i in range(n)]
     for i, j in zip(ints, ints):
         if not (0 < i <= n and 0 < j <= n):
@@ -303,8 +306,7 @@ class QuasiOrderClass:
     __slots__ = ("q", "key", "_hash")
 
     def __init__(self, q):
-        if q.n > CANON_BOUND:
-            raise SizeBoundError(f"size bound: canonical forms stop at n = {CANON_BOUND}")
+        _check_canon_bound(q.n)
         memo_key = (q.n, tuple(q.rows))
         hit = _CANON_MEMO.get(memo_key)
         if hit is not None:
@@ -449,12 +451,14 @@ def as_topo_elem(x):
 
 def _linear(x, route, check=None, total=lin_sum):
     """route, a map on classes, extended linearly to x: a class, a text or
-    QuasiOrder naming one, or a combination of classes, whose terms check
-    sees first.  One class with coefficient 1 gets route's value itself,
-    shared when route is cached; else total sums (coefficient, value) pairs."""
+    QuasiOrder naming one, or a combination of classes, whose point counts
+    check sees first.  One class with coefficient 1 gets route's value
+    itself, shared when route is cached; else total sums (coefficient,
+    value) pairs."""
     terms = x.terms if isinstance(x, LinComb) else {as_class(x): ONE}
     if check is not None:
-        check(terms)
+        for tc in terms:
+            check(tc.n)
     if len(terms) == 1:
         ((tc, c),) = terms.items()
         if c == 1:
@@ -467,6 +471,8 @@ def unit_class():
 
 
 def discrete(n):
+    n = _vertex_count(n)
+    _check_canon_bound(n)
     return QuasiOrderClass(QuasiOrder(n))
 
 
@@ -475,7 +481,7 @@ def ladder(n):
     n = _vertex_count(n)
     if n < 1:
         raise InputError("a ladder has at least one vertex")
-    _check_vertex_count(n)
+    _check_canon_bound(n)
     rows = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
     return QuasiOrderClass(QuasiOrder(n, rows))
 
@@ -485,7 +491,7 @@ def corolla(n):
     n = _vertex_count(n)
     if n < 2:
         raise InputError("a corolla has at least two vertices")
-    _check_vertex_count(n)
+    _check_canon_bound(n)
     rows = [(1 << n) - 1] + [1 << i for i in range(1, n)]
     return QuasiOrderClass(QuasiOrder(n, rows))
 
@@ -680,32 +686,15 @@ def _ec_blocks(q):
     yield from rec(q.full_mask)
 
 
-def _ec_splits(q):
-    """(quotient, block restriction) for every partition in E_c."""
-    n, rows = q.n, q.rows
-    for blocks, reach in _ec_blocks(q):
-        quot = [0] * n
-        restr = [0] * n
-        for b, up in zip(blocks, reach):
-            m = b
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                quot[v] = up
-                restr[v] = rows[v] & b
-                m ^= low
-        yield QuasiOrder.closed(n, quot), QuasiOrder.closed(n, restr)
-
-
-def _check_delta_bound(q):
-    if q.n > DELTA_BOUND:
+def _check_delta_bound(n):
+    if n > DELTA_BOUND:
         raise SizeBoundError(f"size bound: contraction partitions stop at n = {DELTA_BOUND}")
 
 
 def ec_partitions(q):
     if isinstance(q, QuasiOrderClass):
         q = q.q
-    _check_delta_bound(q)
+    _check_delta_bound(q.n)
     return [
         Partition(q.n, [[v for v in range(q.n) if (b >> v) & 1] for b in blocks])
         for blocks, _ in _ec_blocks(q)
@@ -753,15 +742,28 @@ def delta_bar_tuples(q, k):
 def coproduct_delta(t):
     """Contraction-restriction: sum of (quotient, block restriction) over E_c."""
     tc = as_class(t)
-    _check_delta_bound(tc.q)
+    _check_delta_bound(tc.n)
     return _delta_class(tc)
 
 
 @cache
 def _delta_class(tc):
-    return lin_sum(
-        (ONE, {(canonicalize(quot), canonicalize(restr)): ONE}) for quot, restr in _ec_splits(tc.q)
-    )
+    n, rows = tc.n, tc.q.rows
+    splits = []
+    for blocks, reach in _ec_blocks(tc.q):
+        quot = [0] * n
+        restr = [0] * n
+        for b, up in zip(blocks, reach):
+            m = b
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                quot[v] = up
+                restr[v] = rows[v] & b
+                m ^= low
+        key = canonicalize(QuasiOrder.closed(n, quot)), canonicalize(QuasiOrder.closed(n, restr))
+        splits.append((ONE, {key: ONE}))
+    return lin_sum(splits)
 
 
 def eps_delta(t):
@@ -922,8 +924,8 @@ def _lambda_delta_series(tc):
 
 # -- Eulerian idempotent -----------------------------------------------------
 
-def _check_euler_bound(terms):
-    if any(tc.n > EULER_BOUND for tc in terms):
+def _check_euler_bound(n):
+    if n > EULER_BOUND:
         raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
 
 
@@ -945,11 +947,8 @@ def eulerian_e(t, method="via_delta"):
 
 @cache
 def _e_class(tc):
-    return lin_sum(
-        (lam, {canonicalize(restr): ONE})
-        for quot, restr in _ec_splits(tc.q)
-        if (lam := _lambda_class(canonicalize(quot)))
-    )
+    """(lambda (x) Id) o delta, read off the cached delta."""
+    return _delta_class(tc).apply(lambda split: {split[1]: _lambda_class(split[0])})
 
 
 @cache
@@ -1019,8 +1018,7 @@ def closed_form_e(kind, n):
     """Closed forms for the Eulerian idempotent on the two named families."""
     if n < 2:
         raise InputError("closed forms start at n = 2")
-    if n > EULER_BOUND:
-        raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
+    _check_euler_bound(n)
     if kind == "ladder":
         return lin_sum(
             (Fraction((-1) ** (len(c) + 1), len(c)),

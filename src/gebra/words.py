@@ -41,9 +41,10 @@ from .exactlin import (
 IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # Longest word (for products: total length of both factors) that the
-# word-side commands accept.  At the bound, the slowest shuffle or
-# quasi-shuffle case measured is the Eulerian idempotent of eight distinct
-# letters under a quasi-shuffle product (see README.md).
+# word-side computations accept, checked by check_word_bound as index_terms
+# reads an argument.  At the bound, the slowest case measured is the
+# Eulerian idempotent of x1...x8 under the saturating quasi-shuffle product
+# (tests/test_bounds.py).
 WORD_BOUND = 8
 
 
@@ -395,6 +396,7 @@ def index_terms(x):
     words share (None for zero).  index_terms and word_comb are the boundary
     of the word-side kernel, which works on index tuples with int-or-Fraction
     coefficients and meets a Fraction only where a value is not integral.
+    A word longer than WORD_BOUND is refused here, before the kernel starts.
     """
     x = as_tensor(x)
     d = lcm(*(c.denominator for c in x.terms.values()))
@@ -403,6 +405,7 @@ def index_terms(x):
     for w, c in x.terms.items():
         same_alphabet(alphabet, w.alphabet)
         terms[w.idx] = c.numerator * (d // c.denominator)
+    check_word_bound(max(map(len, terms), default=0))
     return alphabet, terms, d
 
 

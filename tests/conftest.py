@@ -1,5 +1,7 @@
 """Shared fixtures: small alphabets and the bracket structures used throughout."""
 
+import itertools
+
 import pytest
 from fractions import Fraction
 
@@ -55,6 +57,18 @@ def flalg():
 
     table = {(a, a): LinComb.single(b, Fraction(2))}
     return BInftyStructure.explicit(alphabet, table, bound=6)
+
+
+@pytest.fixture(scope="session")
+def dense_table_path(tmp_path_factory):
+    """Two letters; every pair of words of total length up to 7 brackets to a + b."""
+    words = [p for n in range(1, 7) for p in itertools.product("ab", repeat=n)]
+    lines = ["mode: explicit", "alphabet: a, b", "bound: 8"]
+    lines += [f"{'.'.join(w)} , {'.'.join(w2)} -> a + b"
+              for w in words for w2 in words if len(w) + len(w2) <= 7]
+    path = tmp_path_factory.mktemp("dense") / "dense.tbl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 RANDOM_COEFFS = ("-2", "-1", "-1/2", "1/3", "1", "2", "3/2", "-5/6")

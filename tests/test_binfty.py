@@ -373,6 +373,8 @@ def test_parse_bracket_file_errors():
         ("shuffle", "a * a = b\n", "a * a = b"),
         ("explicit", "a , a -> b\na * a = b\n", "a * a = b"),
         ("qshuffle", qs_total + "a , b -> 1/2*a\n", "a , b -> 1/2*a"),
+        ("shuffle", "bound: 1\n", "bound: 1"),
+        ("qshuffle", qs_total + "bound: 2\n", "bound: 2"),
     ):
         with pytest.raises(InputError, match=re.escape(repr(line)) + " is not read"):
             parse_bracket_file(f"mode: {mode}\nalphabet: a, b\n{body}")

@@ -1,0 +1,220 @@
+"""Every size bound, one row each: the constant, the worst admitted input
+known and how it was found, a fresh-process budget for it, and an input
+just past the bound, built from the constant, that is refused within 1 s.
+
+A bound is a promise: anything within it finishes within its row's budget,
+process start included, and anything past it is refused before any work,
+with exit 3 as a process, or with SizeBoundError in process where no
+command reaches the refusal.  A row's worst input was measured with the
+constant at `size`; the meta-test fails when the constant moves away from
+it, so a raised bound comes with a new worst case.  Budgets are about 3x
+the worst measured on a 2-vCPU VM, and at least 1 s.
+"""
+
+import dataclasses
+import hashlib
+import importlib
+import pathlib
+import pkgutil
+import re
+import subprocess
+import sys
+import time
+from itertools import count
+
+import pytest
+
+import gebra
+from gebra import descent, topo
+from gebra.binfty import axiom_check_size
+from gebra.exactlin import SizeBoundError
+
+
+def gebra_argv(*argv):
+    return ("-m", "gebra", *argv)
+
+
+@dataclasses.dataclass(frozen=True)
+class Bound:
+    module: str
+    name: str
+    # The worst input's size, and its size grown by one step: the meta-test
+    # wants size <= the constant < grown.
+    size: int
+    grown: int
+    # The worst admitted input known, as arguments of a fresh python
+    # process ("@qs8" and "@dense" name table files), with its exact
+    # stdout, or that stdout's sha256 for a long one.
+    worst: tuple
+    stdout: str
+    how_found: str
+    budget: float
+    # The constant -> an input just past it: process arguments, or a
+    # function that raises SizeBoundError in process.
+    past: object
+    # The refusal message, {} standing for the constant.
+    refusal: str
+
+    @property
+    def value(self):
+        return getattr(importlib.import_module(f"gebra.{self.module}"), self.name)
+
+
+DESC_REPORT_7 = (
+    "solomon_idempotent: pass\nsolomon_primitive: pass\nsolomon_matches_log_oracle: pass\n"
+    "dynkin_primitive: pass\ndynkin_quasi_idempotent: pass\n"
+)
+
+BOUNDS = [
+    Bound(
+        "words", "WORD_BOUND", 8, 9,
+        gebra_argv("eulerian", "--table", "@qs8", "x1.x2.x3.x4.x5.x6.x7.x8"),
+        "f4579e63b11b00972cd0786f710e8f431f660b1ba3ac11ba995667fe73c5236a",
+        "eulerian, varpi, omega, zeta at length 8 and binf prod at 4 + 4 letters, timed in "
+        "process on this table (x_i * x_j = x_min(i+j, 8)), on eight shuffle letters and on "
+        "the flalg explicit table: this one took 3.4 s (166171 terms, 4.8 MB of output), the "
+        "next 0.21 s; 3.2-3.6 s as a process.  A dense explicit table over many letters can "
+        "take longer at the same length: explicit tables are bounded in length only.",
+        10.0,
+        lambda c: gebra_argv("eulerian", "--table", "@qs8", ".".join(["x1"] * (c + 1))),
+        "word-side computations stop at length {}",
+    ),
+    Bound(
+        "binfty", "AXIOM_CHECK_BOUND", axiom_check_size(2, 7), axiom_check_size(2, 8),
+        gebra_argv("binf", "check", "--table", "@dense", "--budget", "7"),
+        "unit: pass\nassoc: fail\ncomm: pass\ntrivial: fail\n",
+        "two letters at budget 7 visit the most tuples under the bound (4346; three letters "
+        "stop at budget 5, 3369 tuples), and this table makes every bracket among them "
+        "nonzero: 2.8-3.3 s as a process.",
+        10.0,
+        lambda c: gebra_argv("binf", "check", "--alphabet", "a,b", "--budget",
+                             str(next(b for b in count(1) if axiom_check_size(2, b) > c))),
+        "more than {}",
+    ),
+    Bound(
+        "descent", "DEGREE_BOUND", 7, 8,
+        gebra_argv("desc", "check", "7"),
+        DESC_REPORT_7,
+        "the slowest desc command at n = 7 as a process: check 0.30-0.46 s, solomon 0.11 s, "
+        "dynkin and conv 0.08 s.",
+        1.5,
+        lambda c: gebra_argv("desc", "check", str(c + 1)),
+        "descent computations stop at n = {}",
+    ),
+    Bound(
+        "descent", "LIE_CHECK_BOUND", 6, 7,
+        gebra_argv("desc", "check", "6"),
+        DESC_REPORT_7 + "solomon_lie_valued: pass\ndynkin_lie_valued: pass\n",
+        "the one command that runs the Lie membership test; Solomon's idempotent has a "
+        "coefficient on every permutation, so its reduction meets all (n-1)! pivots: "
+        "0.17-0.19 s as a process.",
+        1.0,
+        lambda c: lambda: descent.lie_projection_check(descent.GroupAlgElem(c + 1)),
+        "the Lie membership test stops at n = {}",
+    ),
+    Bound(
+        "topo", "CANON_BOUND", 8, 9,
+        gebra_argv("topo", "pi", "8; 3<5, 1<5, 2<4, 1<8"),
+        "dfeb3a20bdcf83dc62dac4b6fa875e0ac39792649b6a58d9c74c19fd93a6466b",
+        "pi is the slowest command that 8 points reach (delta, upsilon and lambda on disc8 "
+        "take half as long); the slowest of 240 seeded random 8-point orders with up to four "
+        "relations and a random local search from them, cold in process: 0.34 s as a process "
+        "against 0.16 s for disc8.",
+        1.0,
+        lambda c: gebra_argv("topo", "pi", str(c + 1)),
+        "canonical forms stop at n = {}",
+    ),
+    Bound(
+        "topo", "DELTA_BOUND", 7, 8,
+        gebra_argv("topo", "delta2",
+                   "7; 2<1, 3<1, 4<1, 5<1, 6<1, 7<1, 7<2, 5<3, 6<3, 5<4, 6<4, 7<4"),
+        "7e7ebc7002f4f1c1a0ea3d67e2de1af4e2f84662daa84a1a4623a4d462e0d2be",
+        "the slowest delta2 of a sweep over all 4535 classes on 7 points (ROADMAP item 4): "
+        "0.15 s as a process.",
+        1.0,
+        lambda c: gebra_argv("topo", "delta2", str(c + 1)),
+        "contraction partitions stop at n = {}",
+    ),
+    Bound(
+        "topo", "EULER_BOUND", 6, 7,
+        gebra_argv("topo", "pieul", "6; 6<1, 6<2, 4<3, 5<3, 6<3"),
+        "4e12c335141103cbef351549fa997bf0f383c05d526a5195103150b0aa9b5022",
+        "the slowest pieul of a sweep over all 718 classes on 6 points (ROADMAP item 4); "
+        "eulerian on it is faster: 0.16 s as a process.",
+        1.0,
+        lambda c: gebra_argv("topo", "pieul", str(c + 1)),
+        "the Eulerian idempotent stops at n = {}",
+    ),
+    Bound(
+        "topo", "ISO_BOUND", 6, 7,
+        ("-c", "import gebra.topo as t; print(len(t.all_isoclasses(6)))"),
+        "718\n",  # OEIS A001930
+        "the listing at n is the one input of that size, grown from every smaller one: "
+        "0.49-0.57 s as a process.",
+        1.5,
+        lambda c: lambda: topo.all_isoclasses(c + 1),
+        "isoclass enumeration stops at n = {}",
+    ),
+]
+IDS = [row.name for row in BOUNDS]
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory, dense_table_path):
+    """The saturating quasi-shuffle table on x1..x8, x_i * x_j = x_min(i+j, 8),
+    and the dense explicit table."""
+    lines = ["mode: qshuffle", "alphabet: " + ", ".join(f"x{i}:{i}" for i in range(1, 9))]
+    lines += [f"x{i} * x{j} = x{min(i + j, 8)}" for i in range(1, 9) for j in range(1, 9)]
+    qs8 = tmp_path_factory.mktemp("bounds") / "qs8.tbl"
+    qs8.write_text("\n".join(lines) + "\n")
+    return {"@qs8": str(qs8), "@dense": dense_table_path}
+
+
+def _run(argv, table_files):
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, *[table_files.get(a, a) for a in argv]],
+                          capture_output=True, text=True)
+    return proc, time.monotonic() - t0
+
+
+@pytest.mark.parametrize("row", BOUNDS, ids=IDS)
+def test_worst_admitted_input_finishes_within_budget(row, table_files):
+    proc, elapsed = _run(row.worst, table_files)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert row.stdout in (proc.stdout, hashlib.sha256(proc.stdout.encode()).hexdigest())
+    assert elapsed < row.budget
+
+
+@pytest.mark.parametrize("row", BOUNDS, ids=IDS)
+def test_input_past_the_bound_is_refused_within_1s(row, table_files):
+    past = row.past(row.value)
+    message = "size bound: .*" + re.escape(row.refusal.format(row.value))
+    if callable(past):
+        t0 = time.monotonic()
+        with pytest.raises(SizeBoundError, match=message):
+            past()
+        elapsed = time.monotonic() - t0
+    else:
+        proc, elapsed = _run(past, table_files)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert re.fullmatch(f"error: {message}\n", proc.stderr)
+    assert elapsed < 1.0
+
+
+def _sources():
+    for info in pkgutil.iter_modules(gebra.__path__):
+        yield info.name, pathlib.Path(gebra.__path__[0], f"{info.name}.py").read_text()
+
+
+def test_every_bound_has_one_row_measured_at_it():
+    defined = {(module, name) for module, text in _sources()
+               for name in re.findall(r"^([A-Z][A-Z_]*_BOUND) *=", text, re.M)}
+    assert defined == {(row.module, row.name) for row in BOUNDS}
+    assert len(IDS) == len(set(IDS))
+    for row in BOUNDS:
+        assert row.size <= row.value < row.grown, row.name
+
+
+def test_the_command_line_reads_no_bound():
+    text = dict(_sources())["cli"]
+    assert not re.findall(r"\w*_BOUND\b|check_word_bound", text)

@@ -2,7 +2,6 @@
 
 import hashlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -134,6 +133,14 @@ def test_table_line_the_mode_does_not_read_exits_2(tmp_path):
     assert err == "error: table line 'a , a -> b' is not read in shuffle mode\n"
 
 
+def test_bound_header_outside_explicit_mode_exits_2(tmp_path):
+    tbl = tmp_path / "sh.tbl"
+    tbl.write_text("mode: shuffle\nalphabet: a, b\nbound: 1\n")
+    code, out, err = run("binf", "prod", "--table", str(tbl), "a", "a")
+    assert (code, out) == (2, "")
+    assert err == "error: table line 'bound: 1' is not read in shuffle mode\n"
+
+
 def test_binf_check_shuffle_report():
     out = run_ok("binf", "check", "--alphabet", "a,b", "--budget", "3")
     assert out == "unit: pass\nassoc: pass\ncomm: pass\ntrivial: pass\n"
@@ -191,14 +198,6 @@ def test_desc_parsers_end_in_an_exit_code_promptly(argv):
     assert main_exit_code(["desc", *argv]) in (0, 2, 3)
     assert time.monotonic() - t0 < 1.0
 
-
-def test_desc_check_7_passes_within_10s():
-    t0 = time.monotonic()
-    out = run_ok("desc", "check", "7")
-    assert time.monotonic() - t0 < 10.0
-    lines = out.splitlines()
-    assert len(lines) == 5
-    assert all(line.endswith(": pass") for line in lines)
 
 # sha256 of the stdout of each descent command, pinned from the n! route so
 # that any drift in term order or in a rational shows up
@@ -890,8 +889,9 @@ def test_pi_and_pieul_up_to_8_points_are_byte_identical(text, digests, capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
-# The worst cases of topo pi at CANON_BOUND = 8: the most open sets (disc8)
-# and the most with one relation.  The budget includes process start.
+# topo pi at CANON_BOUND = 8 on the most open sets (disc8) and the most with
+# one relation; the slowest input known is in the CANON_BOUND row of
+# tests/test_bounds.py.  The budget includes process start.
 @pytest.mark.parametrize("text", ["8", "8; 1<2"])
 def test_pi_at_the_canonical_bound_finishes_within_2s(text):
     t0 = time.monotonic()
@@ -971,29 +971,6 @@ def test_worst_word_at_the_bound_finishes_within_10s(table_paths):
         assert elapsed < 10.0
 
 
-@pytest.fixture(scope="module")
-def dense_table_path(tmp_path_factory):
-    """Two letters; every pair of words of total length up to 7 brackets to a + b."""
-    words = [p for n in range(1, 7) for p in itertools.product("ab", repeat=n)]
-    lines = ["mode: explicit", "alphabet: a, b", "bound: 8"]
-    lines += [f"{'.'.join(w)} , {'.'.join(w2)} -> a + b"
-              for w in words for w2 in words if len(w) + len(w2) <= 7]
-    path = tmp_path_factory.mktemp("dense") / "dense.tbl"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def test_worst_axiom_check_at_the_bound_finishes_within_10s(dense_table_path):
-    # budget 7 on two letters visits 4346 word tuples, under AXIOM_CHECK_BOUND
-    # = 5000, and this table makes every bracket in them nonzero (2.8-3.3 s on
-    # a 2-vCPU VM, process start included)
-    code, out, err, elapsed = _timed_run("binf", "check", "--table", dense_table_path,
-                                         "--budget", "7")
-    assert code == 0, err
-    assert out == "unit: pass\nassoc: fail\ncomm: pass\ntrivial: fail\n"
-    assert elapsed < 10.0
-
-
 @pytest.mark.parametrize("argv", [
     ("--table", "@dense", "--budget", "8"),
     ("--table", "@qs", "--budget", "6"),
@@ -1020,7 +997,7 @@ def test_huge_topology_exits_3_within_1s(argv):
     code, out, err, elapsed = _timed_run(*argv)
     assert code == 3
     assert out == ""
-    assert err.startswith("error: size bound")
+    assert err == "error: size bound: canonical forms stop at n = 8\n"
     assert elapsed < 1.0
 
 

@@ -5,8 +5,16 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from gebra.exactlin import InputError, LinComb
-from gebra.words import parse_tensor, parse_word
+from gebra.exactlin import InputError, LinComb, SizeBoundError
+from gebra.words import (
+    WORD_BOUND,
+    LetterMap,
+    cofree_lift,
+    inverse_structure_endo,
+    parse_tensor,
+    parse_word,
+    structure_endo,
+)
 from gebra.binfty import induced_product, surjection_product_oracle
 from gebra.idem import (
     TangentEndo,
@@ -18,6 +26,34 @@ from gebra.idem import (
     varpi,
     zeta_tilde,
 )
+
+
+def _fixing(B):
+    return LetterMap(B.alphabet, identity_on_letters=True)
+
+
+# Every word-side library entry, on a word one letter past WORD_BOUND, and
+# the product on factors whose lengths add up to one past it.
+WORD_ENTRIES = {
+    "eulerian_idempotent": lambda B, w: eulerian_idempotent(B, w),
+    "varpi": lambda B, w: varpi(B, w),
+    "omega_tilde": lambda B, w: omega_tilde(B, w),
+    "zeta_tilde": lambda B, w: zeta_tilde(B, LinComb.single(w) + LinComb.single(w[:1])),
+    "cofree_lift": lambda B, w: cofree_lift(_fixing(B), w),
+    "structure_endo": lambda B, w: structure_endo(_fixing(B), w),
+    "inverse_structure_endo": lambda B, w: inverse_structure_endo(_fixing(B), w),
+    "hoffman_log": lambda B, w: hoffman_log(B, w),
+    "hoffman_exp": lambda B, w: hoffman_exp(B.mult, w),
+    "induced_product": lambda B, w: induced_product(B, w[:5], w[5:]),
+}
+
+
+@pytest.mark.parametrize("entry", WORD_ENTRIES.values(), ids=WORD_ENTRIES)
+def test_library_word_entries_refuse_past_the_word_bound(entry, qs3):
+    letters = qs3.alphabet.letters
+    w = parse_word(".".join(letters[i % 3] for i in range(WORD_BOUND + 1)), qs3.alphabet)
+    with pytest.raises(SizeBoundError, match=f"stop at length {WORD_BOUND}$"):
+        entry(qs3, w)
 
 
 def letter_part(x):
