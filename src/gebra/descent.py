@@ -14,26 +14,27 @@ idempotent and the Dynkin element are built on it.  The subset basis
 differs from it by a triangular sum over coarsenings and is reached only
 where a formula needs it, through to_subset/from_subset: the internal
 product by Solomon's Mackey formula and the coproduct.  The symmetric
-group itself appears only when an element is printed (DescElem.expand, one
-pass over the image tuples of S_n) and in the n! reference routes the
-tests compare against: de_equal, de_subset, internal_product and
-convolution on GroupAlgElem, solomon_log_oracle and lie_projection_check.
+group itself appears only when an element is expanded (DescElem.expand, one
+pass over the image tuples of S_n) to be printed or tested for Lie
+membership, and in the n! reference routes the tests compare against:
+de_equal, de_subset, internal_product and convolution on GroupAlgElem, and
+solomon_log_oracle.  lie_projection_check reads membership off the words
+that start with x1, one bracket expansion each, with no linear algebra.
 Every combination, in either basis or in the group algebra, is summed by
-exactlin.term_sum or lin_sum; the one dict updated by hand is the Gaussian
-elimination in _row_reduce.  Degrees stop at DEGREE_BOUND (_check_degree),
-the Lie membership test at LIE_CHECK_BOUND; identity_report is the report
-`gebra desc check` prints.
+exactlin.term_sum or lin_sum.  Degrees stop at DEGREE_BOUND (_check_degree),
+the one bound of this layer; identity_report is the report `gebra desc
+check` prints.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, combinations, permutations as _permutations
-from math import comb
+from math import comb, lcm
 from operator import gt
 
 from .exactlin import (
-    ONE, Fraction, InputError, LinComb, SizeBoundError, as_int, format_terms, lin_sum,
+    Fraction, InputError, LinComb, SizeBoundError, as_int, format_terms, lin_sum,
     parse_ints, parse_terms, term_sum,
 )
 from .words import Word, compositions, prefixed
@@ -447,12 +448,17 @@ class DescElem(_DegreeElem):
         De_p . De_q is the sum of De_r(M) over the matrices M of non-negative
         integers with row sums p and column sums q, where r(M) reads the
         nonzero entries of M row by row.  This agrees with internal_product
-        on the expansions.
+        on the expansions.  The readings of the pairs (p, q) that share a
+        coefficient product c * d are added as ints, then scaled once by it.
         """
         self._same_degree(other)
         right = other.to_subset().terms.items()
-        left = self.to_subset().terms.items()
-        products = lin_sum((c * d, _mackey_readings(p, q)) for p, c in left for q, d in right)
+        by_coeff = {}
+        for p, c in self.to_subset().terms.items():
+            for q, d in right:
+                by_coeff.setdefault(c * d, []).append(_mackey_readings(p, q).items())
+        products = lin_sum((cd, term_sum((1, r) for r in readings))
+                           for cd, readings in by_coeff.items())
         return DescElem.from_subset(self.n, products)
 
     @classmethod
@@ -562,70 +568,42 @@ def desc_coproduct(d):
 
 
 @cache
-def lie_pivots(n):
-    """Row-reduced basis of the multilinear Lie words of degree n.
+def _left_normed(n):
+    """The left-normed bracket [..[x1, x2], .., xn] as (places, sign) pairs.
 
-    The left-normed brackets [..[x1, x_tau(2)], .., x_tau(n)] that start
-    with x1 are a basis of that span, (n-1)! of them (Reutenauer, Free Lie
-    Algebras, 1993), so the other n! - (n-1)! brackets are not reduced.
+    [u, a] = ua - au puts each later letter last or first, so the bracket is
+    the sum of sign * x_places over 2^(n-1) pairs, places indexing 0..n-1;
+    only the pair that puts every letter last starts with x1.
     """
-    _check_lie_degree(n)
-    rows = []
-    for rest in _permutations(range(2, n + 1)):
-        tau = (1,) + rest
-        elt = {(tau[0],): ONE}
-        for a in tau[1:]:
-            # [u, a] = ua - au; the values stay Fractions, as the pivots divide by them
-            elt = term_sum((1, ((word + (a,), c), ((a,) + word, -c))) for word, c in elt.items())
-        rows.append(elt)
-    pivots = {}
-    for row in rows:
-        row, lead = _row_reduce(row, pivots)
-        if lead is not None:
-            c = row[lead]
-            pivots[lead] = {k: v / c for k, v in row.items()}
-    return pivots
-
-
-def _row_reduce(row, pivots):
-    # In-place Gaussian elimination on a copy of row, not a sum of combinations.
-    row = dict(row)
-    while row:
-        lead = min(row)
-        if lead not in pivots:
-            return row, lead
-        c = row[lead]
-        for k, v in pivots[lead].items():
-            new = row.get(k, Fraction(0)) - c * v
-            if new:
-                row[k] = new
-            else:
-                row.pop(k, None)
-    return row, None
-
-
-LIE_CHECK_BOUND = 6
-
-
-def _check_lie_degree(n):
-    if n > LIE_CHECK_BOUND:
-        raise SizeBoundError(f"size bound: the Lie membership test stops at n = {LIE_CHECK_BOUND}")
+    if n == 1:
+        return (((0,), 1),)
+    return tuple(
+        pair for places, s in _left_normed(n - 1)
+        for pair in ((places + (n - 1,), s), ((n - 1,) + places, -s))
+    )
 
 
 def lie_projection_check(g):
     """Does g send the multilinear word x1...xn into the free Lie algebra?
 
-    The image is the sum of c_sigma x_sigma(1)..x_sigma(n); membership is
-    tested against a row reduction of the left-bracketed spanning words,
-    made once per degree.
+    The image is P, the sum of c_sigma x_sigma(1)..x_sigma(n).  The brackets
+    b_w = [..[x1, w2], .., wn] of the words w that start with x1 are a basis
+    of the multilinear Lie polynomials (Reutenauer, Free Lie Algebras, 1993),
+    and w is the one word of b_w that starts with x1.  So P is Lie exactly
+    when it equals the sum of <P, w> b_w over those w, summed in ints over
+    the common denominator of the coefficients.
     """
     n = g.n
-    _check_lie_degree(n)
     if n == 0:
         return not g
-    vec = {p.images: c for p, c in g.terms.items() if c}
-    _, lead = _row_reduce(vec, lie_pivots(n))
-    return lead is None
+    d = lcm(*(c.denominator for c in g.terms.terms.values()))
+    vec = {p.images: c.numerator * (d // c.denominator) for p, c in g.terms.terms.items()}
+    bracket = _left_normed(n)
+    rebuilt = term_sum(
+        (c, ((tuple(map(w.__getitem__, places)), s) for places, s in bracket))
+        for w, c in vec.items() if w[0] == 1
+    )
+    return rebuilt == vec
 
 
 def _is_primitive(d):
@@ -634,18 +612,16 @@ def _is_primitive(d):
 
 def identity_report(n):
     """The identities of Solomon's idempotent and the Dynkin element in
-    degree n, name -> holds, in printing order; the Lie membership tests,
-    which expand both into S_n, only up to LIE_CHECK_BOUND."""
+    degree n, name -> holds, in printing order; the Lie membership tests
+    expand both into S_n."""
     sn = solomon_desc(n)
     dn = dynkin_desc(n)
-    report = {
+    return {
         "solomon_idempotent": sn.internal_product(sn) == sn,
         "solomon_primitive": _is_primitive(sn),
         "solomon_matches_log_oracle": sn == solomon_log_series(n),
         "dynkin_primitive": _is_primitive(dn),
         "dynkin_quasi_idempotent": dn.internal_product(dn) == dn.scale(n),
+        "solomon_lie_valued": lie_projection_check(sn.expand()),
+        "dynkin_lie_valued": lie_projection_check(dn.expand()),
     }
-    if n <= LIE_CHECK_BOUND:
-        report["solomon_lie_valued"] = lie_projection_check(sn.expand())
-        report["dynkin_lie_valued"] = lie_projection_check(dn.expand())
-    return report

@@ -5,10 +5,8 @@ coefficients in the types defined here.  All arithmetic is exact; floats do
 not appear anywhere.
 
 Every sum of combinations in the library goes through term_sum (lin_sum
-wraps it): Poly and LinComb arithmetic here, and the folds of words,
-binfty, descent and topo.  Two places update a dict entry by hand and are
-not sums: the Gaussian elimination in descent._row_reduce and the one-entry
-adjustment in words.inverse_structure_endo.
+wraps it), with no exception: Poly and LinComb arithmetic here, and the
+folds of words, binfty, descent and topo.
 
 The shared text readers live here too.  parse_ints is the one reader of
 integer text, ASCII digits with an optional sign: it refuses the digit

@@ -42,9 +42,9 @@ IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # Longest word (for products: total length of both factors) that the
 # word-side computations accept, checked by check_word_bound as index_terms
-# reads an argument.  At the bound, the slowest case measured is the
-# Eulerian idempotent of x1...x8 under the saturating quasi-shuffle product
-# (tests/test_bounds.py).
+# reads an argument, and by reduced_coproduct_iter, which works on Words.
+# At the bound, the slowest case measured is the Eulerian idempotent of
+# x1...x8 under the saturating quasi-shuffle product (tests/test_bounds.py).
 WORD_BOUND = 8
 
 
@@ -299,6 +299,7 @@ def reduced_coproduct_iter(x, k):
     if k < 1:
         raise InputError("the iterated coproduct needs k >= 1")
     _check_reduced(x)
+    check_word_bound(max(map(len, x.terms), default=0))
     return LinComb.trusted(term_sum(
         (1, ((blocks, c) for blocks in block_decompositions(w, k))) for w, c in x.terms.items()
     ))
@@ -551,10 +552,7 @@ def inverse_structure_endo(pi, x):
             raise InputError("partial map: no value for the unit word")
         if n == 1:
             return {t: 1}
-        # every pattern but the n-letter one, which pi sends back to t;
-        # one entry of a copy is adjusted, no combinations are summed
-        shorter = dict(lift(t))
-        shorter[t] = shorter.get(t, 0) - factorial(n)
-        return apply_scaled(mu, {p: -c for p, c in shorter.items() if c})
+        # minus every pattern but the n-letter one, which pi sends back to t
+        return apply_scaled(mu, term_sum(((-1, lift(t).items()), (1, ((t, factorial(n)),)))))
 
     return lift_comb(memo_lift(mu), alphabet, terms, d)

@@ -25,7 +25,7 @@ from itertools import count
 import pytest
 
 import gebra
-from gebra import descent, topo
+from gebra import topo
 from gebra.binfty import axiom_check_size
 from gebra.exactlin import SizeBoundError
 
@@ -60,10 +60,6 @@ class Bound:
         return getattr(importlib.import_module(f"gebra.{self.module}"), self.name)
 
 
-DESC_REPORT_7 = (
-    "solomon_idempotent: pass\nsolomon_primitive: pass\nsolomon_matches_log_oracle: pass\n"
-    "dynkin_primitive: pass\ndynkin_quasi_idempotent: pass\n"
-)
 
 BOUNDS = [
     Bound(
@@ -94,23 +90,14 @@ BOUNDS = [
     Bound(
         "descent", "DEGREE_BOUND", 7, 8,
         gebra_argv("desc", "check", "7"),
-        DESC_REPORT_7,
-        "the slowest desc command at n = 7 as a process: check 0.30-0.46 s, solomon 0.11 s, "
+        "solomon_idempotent: pass\nsolomon_primitive: pass\nsolomon_matches_log_oracle: pass\n"
+        "dynkin_primitive: pass\ndynkin_quasi_idempotent: pass\nsolomon_lie_valued: pass\n"
+        "dynkin_lie_valued: pass\n",
+        "the slowest desc command at n = 7 as a process: check 0.33-0.48 s, solomon 0.11 s, "
         "dynkin and conv 0.08 s.",
         1.5,
         lambda c: gebra_argv("desc", "check", str(c + 1)),
         "descent computations stop at n = {}",
-    ),
-    Bound(
-        "descent", "LIE_CHECK_BOUND", 6, 7,
-        gebra_argv("desc", "check", "6"),
-        DESC_REPORT_7 + "solomon_lie_valued: pass\ndynkin_lie_valued: pass\n",
-        "the one command that runs the Lie membership test; Solomon's idempotent has a "
-        "coefficient on every permutation, so its reduction meets all (n-1)! pivots: "
-        "0.17-0.19 s as a process.",
-        1.0,
-        lambda c: lambda: descent.lie_projection_check(descent.GroupAlgElem(c + 1)),
-        "the Lie membership test stops at n = {}",
     ),
     Bound(
         "topo", "CANON_BOUND", 8, 9,

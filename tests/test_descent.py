@@ -1,6 +1,7 @@
 """Descent classes, Solomon and Dynkin elements, and the two products."""
 
 import itertools
+import random
 
 import pytest
 from fractions import Fraction
@@ -358,25 +359,81 @@ def test_dynkin_image_is_lie():
     assert lie_projection_check(ga("1 2")) is False
 
 
+def left_normed(w):
+    """[..[w1, w2], .., wn] on the letters of w, expanded as [u, a] = ua - au."""
+    elt = {w[:1]: 1}
+    for a in w[1:]:
+        new = {}
+        for word, c in elt.items():
+            new[word + (a,)] = new.get(word + (a,), 0) + c
+            new[(a,) + word] = new.get((a,) + word, 0) - c
+        elt = new
+    return elt
+
+
+def bracket_elem(w, c=1):
+    return GroupAlgElem(len(w), {Permutation(u): c * s for u, s in left_normed(w).items()})
+
+
 def test_every_left_normed_bracket_is_lie():
-    # the Lie check reduces against the brackets starting with x1 only;
-    # every other left-normed bracket must lie in their span
+    # the Lie check reads only the words that start with x1; every other
+    # left-normed bracket must pass as well
     for n in range(1, 6):
         for tau in itertools.permutations(range(1, n + 1)):
-            elt = {(tau[0],): Fraction(1)}
-            for a in tau[1:]:
-                new = {}
-                for word, c in elt.items():
-                    new[word + (a,)] = new.get(word + (a,), 0) + c
-                    new[(a,) + word] = new.get((a,) + word, 0) - c
-                elt = new
-            g = GroupAlgElem(n, {Permutation(w): c for w, c in elt.items()})
-            assert lie_projection_check(g) is True, tau
+            assert lie_projection_check(bracket_elem(tau)) is True, tau
 
 
-def test_lie_check_bound():
-    with pytest.raises(SizeBoundError, match="size bound"):
-        lie_projection_check(GroupAlgElem.single(Permutation.identity(7)))
+def dynkin_specht_wever(g):
+    """Is g Lie, by theta(P) = nP, theta bracketing each word left-normed?"""
+    theta = {}
+    for p, c in g.terms.terms.items():
+        for word, s in left_normed(p.images).items():
+            theta[word] = theta.get(word, 0) + s * c
+    return {w: v for w, v in theta.items() if v} == {
+        p.images: g.n * c for p, c in g.terms.terms.items()
+    }
+
+
+def _random_coeff(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+
+
+def _random_lie(rng, n):
+    """A random combination of left-normed brackets, on any first letter."""
+    total = GroupAlgElem(n)
+    for _ in range(rng.randint(1, 4)):
+        total = total + bracket_elem(tuple(rng.sample(range(1, n + 1), n)), _random_coeff(rng))
+    return total
+
+
+def _random_elem(rng, n):
+    perms = list(permutations_of(n))
+    return GroupAlgElem(n, {p: _random_coeff(rng) for p in rng.sample(perms, min(len(perms), 5))})
+
+
+def _lie_check_cases():
+    yield from ((f"solomon({n})", solomon(n), True) for n in range(1, 8))
+    yield from ((f"dynkin({n})", dynkin(n), True) for n in range(1, 8))
+    for n in range(1, 6):
+        for tau in itertools.permutations(range(1, n + 1)):
+            yield f"bracket{tau}", bracket_elem(tau), True
+    rng = random.Random(20240611)
+    for n in range(1, 7):
+        for i in range(15):
+            yield f"random lie {n}.{i}", _random_lie(rng, n), True
+            yield f"random {n}.{i}", _random_elem(rng, n), None
+            if n > 1:
+                lie = _random_lie(rng, n)
+                p = rng.choice(sorted(lie.terms.terms))
+                yield f"perturbed {n}.{i}", lie + GroupAlgElem.single(p, _random_coeff(rng)), False
+
+
+def test_lie_check_agrees_with_dynkin_specht_wever():
+    for name, g, expected in _lie_check_cases():
+        got = lie_projection_check(g)
+        assert got is dynkin_specht_wever(g), name
+        if expected is not None:
+            assert got is expected, name
 
 
 def test_degree_bound():

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from gebra.descent import lie_pivots
 from gebra.exactlin import (
     InputError,
     LinComb,
@@ -221,9 +220,6 @@ FRACTION_CASES = {
     "Poly-": lambda: (Poly({0: 1}) - Poly({2: 1})).coeffs.values(),
     "Poly*": lambda: (Poly({0: 1, 1: 1}) * Poly({0: 1, 1: -1})).coeffs.values(),
     "parse_tensor": lambda: parse_tensor("a + 2*b + a + 1", Alphabet("a,b")).terms.values(),
-    "lie_pivots": lambda: [
-        c for n in range(1, 6) for row in lie_pivots(n).values() for c in row.values()
-    ],
 }
 
 

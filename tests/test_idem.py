@@ -13,6 +13,7 @@ from gebra.words import (
     inverse_structure_endo,
     parse_tensor,
     parse_word,
+    reduced_coproduct_iter,
     structure_endo,
 )
 from gebra.binfty import induced_product, surjection_product_oracle
@@ -42,6 +43,7 @@ WORD_ENTRIES = {
     "cofree_lift": lambda B, w: cofree_lift(_fixing(B), w),
     "structure_endo": lambda B, w: structure_endo(_fixing(B), w),
     "inverse_structure_endo": lambda B, w: inverse_structure_endo(_fixing(B), w),
+    "reduced_coproduct_iter": lambda B, w: reduced_coproduct_iter(w, 2),
     "hoffman_log": lambda B, w: hoffman_log(B, w),
     "hoffman_exp": lambda B, w: hoffman_exp(B.mult, w),
     "induced_product": lambda B, w: induced_product(B, w[:5], w[5:]),
