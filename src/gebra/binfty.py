@@ -15,16 +15,16 @@ letter indices, a combination is a plain dict from such tuples to int or
 Fraction coefficients summed by exactlin.term_sum, and the bracket is read
 from `brackets`, an index-keyed copy of the table built once with the
 structure.  The products of suffix pairs are memoized in a dict that lives
-for one induced_product call; no product is kept on the structure between
-calls.  What the structure does keep, `letter_maps`, is gebra.idem's
-letter-valued varpi and zeta, a combination of letters per word.  Words
-and LinCombs appear only at the boundary (words.index_terms and
-words.word_comb), which puts the input's coefficients over one common
-denominator, so that integral brackets keep every intermediate sum in
-ints.  The Word-keyed `bracket` stays the public evaluation and is what the
-oracles use; past the unit rules it reads the same index table.  The
-oracles sum their combinations with exactlin.lin_sum as well, so no
-combination in this module is accumulated by hand.
+for one induced_product or check_axioms call; no product is kept on the
+structure between calls.  What the structure does keep, `letter_maps`, is
+gebra.idem's letter-valued varpi and zeta, a combination of letters per
+word.  Words and LinCombs appear only at the boundary (words.index_terms
+and words.word_comb), which puts the input's coefficients over one common
+denominator, so that integral brackets keep every intermediate sum in ints.
+check_axioms and is_degree_graded read the index table too.  The public
+Word-keyed `bracket` reads it past the unit rules; only the oracles and the
+unit line of check_axioms call it.  The oracles sum with exactlin.lin_sum,
+so no combination in this module is accumulated by hand.
 
 Three modes exist: "shuffle" (zero bracket), "quasi_shuffle" (a semigroup
 product on the letters, applied to letter pairs only), and "explicit" (a
@@ -37,8 +37,8 @@ Bracket table file format::
     mode: explicit            # or: shuffle | qshuffle
     alphabet: a:1,b:2         # optional; else words.infer_alphabet, as on the command line
     bound: 6                  # explicit mode only, optional
-    a , a -> 2*b              # explicit bracket lines
-    a * b = c                 # qshuffle multiplication lines
+    a , a -> 2*b              # explicit bracket lines, one per pair
+    a * b = c                 # qshuffle multiplication lines, one per pair
 
 A bracket line, multiplication line or bound header in a mode that does not
 read it is refused.  words.WORD_BOUND bounds the total length of a product
@@ -58,7 +58,6 @@ from .words import (
     Alphabet,
     Word,
     as_letter_comb,
-    as_tensor,
     check_word_bound,
     concat_expand,
     index_terms,
@@ -202,28 +201,12 @@ class BInftyStructure:
             same_alphabet(self.alphabet, alphabet)
         return alphabet, terms, d
 
-    def bracket_elem(self, x, y):
-        """Bilinear extension of the bracket to combinations of words."""
-        x = as_tensor(x)
-        y = as_tensor(y)
-        return lin_sum(
-            (c * c2, self.bracket(w, w2))
-            for w, c in x.terms.items()
-            for w2, c2 in y.terms.items()
-        )
-
     def is_degree_graded(self):
         """True when every stored bracket value preserves total degree."""
-        if self.mode == SHUFFLE:
-            return True
-        if self.mode == QUASI_SHUFFLE:
-            deg = dict(zip(self.alphabet.letters, self.alphabet.degrees))
-            return all(
-                deg[c] == deg[a] + deg[b] for (a, b), c in self.mult.items()
-            )
+        deg = self.alphabet.degrees
         return all(
-            all(u.degree == w.degree + w2.degree for u in val.terms)
-            for (w, w2), val in self.table.items()
+            deg[u] == sum(deg[i] for i in a + b)
+            for (a, b), val in self.brackets.items() for (u,), _ in val
         )
 
 
@@ -366,10 +349,12 @@ def quasi_shuffle_recursive(B, w, w2):
 
 # check_axioms visits every nonempty word, pair and triple of words of total
 # length within the budget, and refuses a budget with more of them than
-# this.  The worst case inside the bound measured is two letters at budget 7
-# (4346 tuples) with every bracket of total length up to 7 nonzero: about
-# 3.3 s on a 2-vCPU VM.  Three letters at budget 6 (15033 tuples) took 2.5 s
-# on a quasi-shuffle table and 11 s on a dense explicit one.
+# this.  The worst case inside the bound known is two letters at budget 7
+# (4346 tuples) with every bracket of total length up to 7 nonzero and no two
+# denominators sharing a factor: 1.1-1.8 s as a process on a 2-vCPU VM, and
+# 0.2-0.3 s with integral brackets.  Three letters at budget 6 (15033 tuples)
+# took 0.13 s on a quasi-shuffle table, 0.5 s on a dense integral one and
+# 7 s on a dense one with such denominators, in process.
 AXIOM_CHECK_BOUND = 5000
 
 
@@ -393,7 +378,12 @@ def check_axioms(B, length_budget):
     length within the budget; comm: the bracket is symmetric; trivial: the
     bracket vanishes on all pairs of nonempty words.  The budget is refused
     past WORD_BOUND and past AXIOM_CHECK_BOUND visited tuples.
+
+    Past the unit line it runs on index tuples, with one product memo, and
+    brackets each pair once in length-lexicographic order, so a table read
+    past its bound names the first such pair.
     """
+    length_budget = as_int(length_budget, "length budget")
     if length_budget < 1:
         raise InputError("length budget must be >= 1")
     check_word_bound(length_budget)
@@ -413,25 +403,30 @@ def check_axioms(B, length_budget):
         if B.bracket(w, alphabet.empty_word()) != pi_v:
             unit = False
             break
-    comm = True
-    trivial = True
-    for w in alphabet.words(length_budget - 1, minlen=1):
-        for w2 in alphabet.words(length_budget - len(w), minlen=1):
-            val = B.bracket(w, w2)
-            if val:
-                trivial = False
-            if val != B.bracket(w2, w):
-                comm = False
-    assoc = True
-    for w in alphabet.words(length_budget - 2, minlen=1):
-        for w2 in alphabet.words(length_budget - len(w) - 1, minlen=1):
-            rest = length_budget - len(w) - len(w2)
-            for w3 in alphabet.words(rest, minlen=1):
-                left = B.bracket_elem(induced_product(B, w, w2), w3)
-                right = B.bracket_elem(w, induced_product(B, w2, w3))
-                if left != right:
-                    assoc = False
+    bracket = B.bracket_terms
+    words = [w.idx for w in alphabet.words(length_budget - 1, minlen=1)]
+    values = {
+        (a, b): dict(bracket(a, b))
+        for a in words for b in words if len(a) + len(b) <= length_budget
+    }
+    comm = all(val == values[b, a] for (a, b), val in values.items())
+    trivial = not any(values.values())
+    # Every pair bracketed below was bracketed above, so nothing here raises.
+    # A list, so that every triple is evaluated, as the bound's budget assumes.
+    memo = {}
+    assoc = all([
+        term_sum((k, bracket(u, c)) for u, k in product_terms(B, a, b, memo).items())
+        == term_sum((k, bracket(a, u)) for u, k in product_terms(B, b, c, memo).items())
+        for a, b in values for c in words if len(a) + len(b) + len(c) <= length_budget
+    ])
     return {"unit": unit, "assoc": assoc, "comm": comm, "trivial": trivial}
+
+
+def _give(table, pair, value, line):
+    """table[pair] = value, refusing a second table line for the same pair."""
+    if pair in table:
+        raise InputError(f"table line {line!r} gives the pair ({pair[0]}, {pair[1]}) a second time")
+    table[pair] = value
 
 
 def parse_bracket_file(text, alphabet=None):
@@ -488,7 +483,7 @@ def parse_bracket_file(text, alphabet=None):
             a, star, b = lhs.partition("*")
             if not star:
                 raise InputError(f"bad multiplication line {line!r}")
-            mult[(a.strip(), b.strip())] = rhs.strip()
+            _give(mult, (a.strip(), b.strip()), rhs.strip(), line)
         return BInftyStructure.quasi_shuffle(alphabet, mult)
     if mode == EXPLICIT:
         table = {}
@@ -500,8 +495,7 @@ def parse_bracket_file(text, alphabet=None):
             w = parse_word(parts[0], alphabet)
             w2 = parse_word(parts[1], alphabet)
             val = rhs.strip()
-            table[(w, w2)] = (
-                LinComb.zero() if val == "0" else parse_tensor(val, alphabet)
-            )
+            value = LinComb.zero() if val == "0" else parse_tensor(val, alphabet)
+            _give(table, (w, w2), value, line)
         return BInftyStructure.explicit(alphabet, table, bound=bound)
     return BInftyStructure.shuffle(alphabet)

@@ -224,6 +224,7 @@ class TangentEndo:
 
     @classmethod
     def from_function(cls, alphabet, fn, bound):
+        bound = as_int(bound, "table bound")
         table = {w: fn(w) for w in alphabet.words(bound, minlen=1)}
         return cls(alphabet, table, bound)
 

@@ -592,6 +592,7 @@ class Partition:
 
 def set_partitions(n):
     """All set partitions of {0..n-1}."""
+    n = _vertex_count(n)
     if n == 0:
         yield Partition(0, [])
         return
@@ -1009,6 +1010,7 @@ def _pi_class(tc):
 
 def surjection_count(n, k):
     """Surjections from an n-set onto a (k+1)-set, by inclusion-exclusion."""
+    n, k = as_int(n, "set size"), as_int(k, "k")
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
     return sum((-1) ** j * comb(k + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
@@ -1016,6 +1018,7 @@ def surjection_count(n, k):
 
 def closed_form_e(kind, n):
     """Closed forms for the Eulerian idempotent on the two named families."""
+    n = as_int(n, "vertex count")
     if n < 2:
         raise InputError("closed forms start at n = 2")
     _check_euler_bound(n)

@@ -296,6 +296,7 @@ def reduced_coproduct_iter(x, k):
     length < k.  k = 1 is allowed and is the identity (keys are 1-tuples).
     """
     x = as_tensor(x)
+    k = as_int(k, "block count")
     if k < 1:
         raise InputError("the iterated coproduct needs k >= 1")
     _check_reduced(x)

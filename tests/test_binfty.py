@@ -311,6 +311,90 @@ def test_check_axioms_flags_a_broken_bracket():
     assert r["assoc"] is False
 
 
+def reference_axioms(B, budget):
+    """check_axioms recomputed word by word: products from the surjection
+    oracle, brackets of combinations summed from B.bracket, and nothing
+    shared with product_terms.  The loops visit words, pairs and triples in
+    length-lexicographic order, bracketing (w, w2) before (w2, w), so a
+    table evaluated past its bound names the first such pair."""
+    alphabet = B.alphabet
+    one = alphabet.empty_word()
+    products = {}
+
+    def product(w, w2):
+        if (w, w2) not in products:
+            products[w, w2] = surjection_product_oracle(B, w, w2)
+        return products[w, w2]
+
+    def bracket_sum(x, y):
+        out = LinComb.zero()
+        for u, c in x.items():
+            for v, d in y.items():
+                out = out + c * d * B.bracket(u, v)
+        return out
+
+    unit = all(
+        B.bracket(one, w) == B.bracket(w, one) == (LinComb.single(w) if len(w) == 1 else LinComb.zero())
+        for w in alphabet.words(budget, minlen=1)
+    )
+    comm = trivial = True
+    for w in alphabet.words(budget - 1, minlen=1):
+        for w2 in alphabet.words(budget - len(w), minlen=1):
+            val = B.bracket(w, w2)
+            if val:
+                trivial = False
+            if val != B.bracket(w2, w):
+                comm = False
+    assoc = True
+    for w in alphabet.words(budget - 2, minlen=1):
+        for w2 in alphabet.words(budget - len(w) - 1, minlen=1):
+            for w3 in alphabet.words(budget - len(w) - len(w2), minlen=1):
+                left = bracket_sum(product(w, w2), LinComb.single(w3))
+                right = bracket_sum(LinComb.single(w), product(w2, w3))
+                if left != right:
+                    assoc = False
+    return {"unit": unit, "assoc": assoc, "comm": comm, "trivial": trivial}
+
+
+def _outcome(check, B, budget):
+    try:
+        return check(B, budget)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+# x * y = y: an associative letter product that is not commutative, so the
+# induced product is associative and not commutative either
+RIGHT_ZERO_TABLE = "mode: qshuffle\nalphabet: a, b\na * a = a\na * b = b\nb * a = a\nb * b = b\n"
+
+
+def test_check_axioms_matches_the_word_level_reference(random_tables, qs3, sh3, flalg,
+                                                        dense_table_path):
+    """Equal reports, or the same error, at length budgets 1-5 on the eight
+    random tables and 100 more seeds of random_table_text (bound 3, so
+    budget 5 reads past it), qs3, sh3, flalg, the dense table and the
+    right-zero table.  About 5 s on a 2-vCPU VM, most of it in the reference."""
+    import random
+
+    from conftest import random_table_text
+
+    structures = random_tables + [
+        parse_bracket_file(random_table_text(random.Random(seed))) for seed in range(8, 108)
+    ]
+    with open(dense_table_path) as f:
+        structures += [qs3, sh3, flalg, parse_bracket_file(f.read()), parse_bracket_file(RIGHT_ZERO_TABLE)]
+    seen = set()
+    for B in structures:
+        for budget in range(1, 6):
+            got = _outcome(check_axioms, B, budget)
+            assert got == _outcome(reference_axioms, B, budget), (B.mode, budget)
+            seen.update(got.items() if isinstance(got, dict) else [got[0]])
+    # the unit rules are built in; every other entry is reached both ways
+    assert seen == {("unit", True), InputError} | {
+        (key, value) for key in ("assoc", "comm", "trivial") for value in (True, False)
+    }
+
+
 QS_TABLE = """
 mode: qshuffle
 alphabet: x1:1, x2:2, x3:3
@@ -379,6 +463,15 @@ def test_parse_bracket_file_errors():
         with pytest.raises(InputError, match=re.escape(repr(line)) + " is not read"):
             parse_bracket_file(f"mode: {mode}\nalphabet: a, b\n{body}")
     assert parse_bracket_file(f"mode: qshuffle\nalphabet: a, b\n{qs_total}").mode == QUASI_SHUFFLE
+    for mode, body, line, pair in (
+        ("explicit", "a , b -> a\na , b -> b\n", "a , b -> b", "(a, b)"),
+        ("explicit", "a , b -> a\na, b -> 0\n", "a, b -> 0", "(a, b)"),
+        ("explicit", "a.b , a -> 0\nb , a -> a\na.b,a -> b\n", "a.b,a -> b", "(a.b, a)"),
+        ("qshuffle", qs_total + "b*a = a\n", "b*a = a", "(b, a)"),
+    ):
+        with pytest.raises(InputError) as exc:
+            parse_bracket_file(f"mode: {mode}\nalphabet: a, b\n{body}")
+        assert str(exc.value) == f"table line {line!r} gives the pair {pair} a second time"
 
 
 @settings(max_examples=40)

@@ -132,6 +132,13 @@ def test_table_line_the_mode_does_not_read_exits_2(tmp_path):
     code, out, err = run("binf", "prod", "--table", str(tbl), "a", "a")
     assert (code, out) == (2, "")
     assert err == "error: table line 'a , a -> b' is not read in shuffle mode\n"
+    # a table gives each pair once: a second line for it is refused, not read over the first
+    for body, line in (("a , b -> a\na , b -> b\n", "a , b -> b"),
+                       ("a , b -> a\na, b -> 0\n", "a, b -> 0")):
+        tbl.write_text("mode: explicit\nalphabet: a, b\n" + body)
+        code, out, err = run("binf", "prod", "--table", str(tbl), "a", "b")
+        assert (code, out) == (2, "")
+        assert err == f"error: table line {line!r} gives the pair (a, b) a second time\n"
 
 
 def test_bound_header_outside_explicit_mode_exits_2(tmp_path):

@@ -9,9 +9,10 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError, lin_sum
-from gebra.words import Alphabet, parse_word
-from gebra.binfty import BInftyStructure
-from gebra.idem import TangentEndo
+from gebra.words import Alphabet, parse_word, reduced_coproduct_iter
+from gebra.binfty import BInftyStructure, check_axioms
+from gebra.idem import TangentEndo, eulerian_tangent
+from gebra.topo import closed_form_e, set_partitions, surjection_count
 from gebra.descent import (
     DescElem,
     GroupAlgElem,
@@ -74,9 +75,18 @@ def test_permutation_basics():
         lambda v: BInftyStructure.explicit(Alphabet("a"), {}, bound=v),
         lambda v: TangentEndo(Alphabet("a"), {}, v),
         lambda v: Poly({v: 1}),
+        lambda v: check_axioms(BInftyStructure.shuffle(Alphabet("a")), v),
+        lambda v: reduced_coproduct_iter(parse_word("a.a", Alphabet("a")), v),
+        lambda v: surjection_count(v, 1),
+        lambda v: surjection_count(2, v),
+        lambda v: closed_form_e("ladder", v),
+        lambda v: list(set_partitions(v)),
+        lambda v: eulerian_tangent(BInftyStructure.shuffle(Alphabet("a")), v),
     ],
     ids=["Permutation", "dynkin_desc", "solomon_desc", "GroupAlgElem", "DescElem",
-         "Alphabet-degree", "BInftyStructure-bound", "TangentEndo-bound", "Poly-exponent"],
+         "Alphabet-degree", "BInftyStructure-bound", "TangentEndo-bound", "Poly-exponent",
+         "check_axioms-budget", "reduced_coproduct_iter-k", "surjection_count-n",
+         "surjection_count-k", "closed_form_e-n", "set_partitions-n", "eulerian_tangent-bound"],
 )
 @pytest.mark.parametrize("v", [1.5, 2.0, "2"])
 def test_constructors_refuse_non_integers(make, v):

@@ -273,7 +273,8 @@ def enumerated_varpi(B, w, memo):
     for k in range(2, len(w) + 1):
         for blocks in _decompositions(w, k):
             tail = _left_fold(B, blocks[1:], memo)
-            out = out + Fraction((-1) ** (k - 1), k) * B.bracket_elem(blocks[0], tail)
+            for v, c in tail.items():
+                out = out + Fraction((-1) ** (k - 1), k) * c * B.bracket(blocks[0], v)
     return out
 
 
