@@ -37,7 +37,7 @@ from itertools import permutations
 from math import comb, factorial, lcm
 from operator import gt
 
-from .exactlin import Fraction, InputError, LinComb, as_int, reduced, term_sum
+from .exactlin import Fraction, InputError, LinComb, SizeBoundError, as_int, reduced, term_sum
 from .words import (
     apply_scaled,
     as_tensor,
@@ -203,6 +203,34 @@ def varpi(B, x):
     return lift_comb(_scaled_varpi(B), *B.index_terms(x))
 
 
+# A tangent table lists, and verify checks, every nonempty word up to its
+# bound.  tangent_table_size weighs a word of length L by L!, the terms of
+# e(w) on distinct shuffle letters; heavier bounds are refused.  Slowest
+# known inside: 14 letters at bound 3 (16870) on x_i * x_j = x_min(i+j, 14),
+# eulerian_tangent then verify, 1.8 s as a process on a 2-vCPU VM; 3 letters
+# at bound 5 (31287) took 2.8 s and 8 letters at bound 4 (101512) 15 s.
+TANGENT_TABLE_BOUND = 20000
+
+
+def tangent_table_size(letters, bound):
+    """The weight of a tangent table: the sum over the nonempty words up to
+    bound of |w|!."""
+    return sum(letters**L * factorial(L) for L in range(1, bound + 1))
+
+
+def _check_tangent_bound(alphabet, bound):
+    """bound as an int, refused before any word is listed when the table
+    would weigh more than TANGENT_TABLE_BOUND."""
+    bound = as_int(bound, "table bound")
+    size = tangent_table_size(len(alphabet.letters), bound)
+    if size > TANGENT_TABLE_BOUND:
+        raise SizeBoundError(
+            f"size bound: a tangent table up to length {bound} would weigh {size},"
+            f" more than {TANGENT_TABLE_BOUND}"
+        )
+    return bound
+
+
 class TangentEndo:
     """Extensional presentation of a tangent-to-identity endomorphism.
 
@@ -216,7 +244,7 @@ class TangentEndo:
 
     def __init__(self, alphabet, table, bound):
         self.alphabet = alphabet
-        self.bound = as_int(bound, "table bound")
+        self.bound = _check_tangent_bound(alphabet, bound)
         clean = {}
         for w, val in table.items():
             clean[w] = as_tensor(val) if val else LinComb.zero()
@@ -224,7 +252,7 @@ class TangentEndo:
 
     @classmethod
     def from_function(cls, alphabet, fn, bound):
-        bound = as_int(bound, "table bound")
+        bound = _check_tangent_bound(alphabet, bound)
         table = {w: fn(w) for w in alphabet.words(bound, minlen=1)}
         return cls(alphabet, table, bound)
 

@@ -22,8 +22,10 @@ Every operation depends only on the isoclass of its input, so each one is
 computed once per class: both coproducts, the antipode, pi, e, pi o e,
 Upsilon, lambda and the rendered keys are `functools.cache`d on the
 QuasiOrderClass, which hashes (once) and compares by its key, and a class
-gets the cached value itself back (`_linear`), with no arithmetic.  Canonical
-forms are memoized on the labeled input as well, in the one dict
+gets the cached value itself back (`_linear`), with no arithmetic.  Each
+route reads a cached coproduct: the antipode (so pi) and Upsilon (so
+lambda) are recursions over the splits of Delta, and e is read off delta.
+Canonical forms are memoized on the labeled input as well, in the one dict
 `_CANON_MEMO`.  The basis in degree n, `all_isoclasses(n)`, is grown by
 one-point extension from degree n - 1 and cached per n.  Reads are
 concurrency-safe and insertions idempotent, so racing threads can only
@@ -39,7 +41,7 @@ _check_euler_bound, ISO_BOUND by all_isoclasses.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import combinations, product as _product
+from itertools import product as _product
 from math import comb
 
 from .exactlin import (
@@ -720,24 +722,21 @@ def _Delta_class(tc):
     )
 
 
-def _reduced_splits(q):
-    """Proper nonempty open splittings (complement part, open part)."""
-    full = q.full_mask
-    for O in q.open_mask_list():
-        if O == 0 or O == full:
-            continue
-        yield q.restrict_mask(full & ~O), q.restrict_mask(O)
-
-
 def delta_bar_tuples(q, k):
-    """All k-factor terms of the iterated reduced open-set coproduct."""
+    """All k-factor terms of the iterated reduced open-set coproduct, one
+    per chain of proper nonempty open sets, on labeled quasi-orders.  The
+    oracles read it; the class routes read _Delta_class instead."""
+    k = as_int(k, "factor count")
     if k == 1:
         if q.n:
             yield (q,)
         return
-    for left, right in _reduced_splits(q):
-        for tup in delta_bar_tuples(left, k - 1):
-            yield tup + (right,)
+    full = q.full_mask
+    for O in q.open_mask_list():
+        if O and O != full:
+            right = q.restrict_mask(O)
+            for tup in delta_bar_tuples(q.restrict_mask(full & ~O), k - 1):
+                yield tup + (right,)
 
 
 def coproduct_delta(t):
@@ -806,7 +805,8 @@ def inf_pi(x):
     pi is the alternating sum over k of the (k-1)-fold stacking of the
     (k-1)-fold reduced coproduct, which on the augmentation ideal is -S for
     the antipode S (Takeuchi's formula); each class's image is read off the
-    memoized antipode recursion, not summed over chains of open sets.
+    memoized antipode recursion over the cached Delta, not summed over
+    chains of open sets.
     """
     return _linear(x, _pi_class)
 
@@ -824,7 +824,8 @@ def binf_bracket(xs, ys):
 def upsilon(t, method="recursive"):
     """The polynomial invariant; both methods agree.
 
-    recursive: strip nonempty unions of minimal classes, X per step; a step
+    recursive: read off the cached Delta; each split whose closed part is a
+    nonempty union of minimal classes is one step, X per step, and a step
     that empties the topology contributes 1 (absorbing the 1/X convention
     for the empty topology, which is never returned).
     surjection_oracle: coefficient of X^(k-1) counts the strictly
@@ -842,27 +843,15 @@ def upsilon(t, method="recursive"):
 
 @cache
 def _upsilon_rec(tc):
-    q = tc.q
-    cls_masks = [sum(1 << v for v in c) for c in q.classes()]
-    minimal = []
-    for m in cls_masks:
-        i = (m & -m).bit_length() - 1
-        if all(
-            m2 == m or not q.leq((m2 & -m2).bit_length() - 1, i) for m2 in cls_masks
-        ):
-            minimal.append(m)
-    full = q.full_mask
+    """Upsilon's recursive route, with U(unit) = 1: a split whose closed part
+    is a nonempty discrete down-set gives X * U(open part), or 1."""
+    if tc.n == 0:
+        return Poly.const(1)
     parts = []
-    for r in range(1, len(minimal) + 1):
-        for sel in combinations(minimal, r):
-            rest = full
-            for m in sel:
-                rest &= ~m
-            if rest == 0:
-                parts.append((1, ((0, ONE),)))
-            else:
-                below = _upsilon_rec(canonicalize(q.restrict_mask(rest))).coeffs
-                parts.append((1, ((k + 1, c) for k, c in below.items())))  # X * below
+    for (low, up), c in _Delta_class(tc).terms.items():
+        if low.n and low.q.is_equivalence():
+            step = 1 if up.n else 0
+            parts.append((c, [(k + step, v) for k, v in _upsilon_rec(up).coeffs.items()]))
     return Poly(term_sum(parts))
 
 
@@ -977,7 +966,8 @@ def _pieul_class(tc):
 def antipode(t):
     """Convolution inverse of the identity for the stacking product.
 
-    S(1) = 1 and S(x) = -x - sum S(x') down x'' over the reduced coproduct.
+    S(1) = 1 and S(x) = -x - sum S(x') down x'' over the proper splits of
+    the cached Delta.
     On the augmentation ideal -S is pi (not at the unit); inf_pi reads it
     from here.
     """
@@ -991,9 +981,10 @@ def _antipode_class(tc):
     return lin_sum(
         [(-ONE, {tc: ONE})]
         + [
-            (-ca, {canonicalize(a.q.down(right)): ONE})
-            for left, right in _reduced_splits(tc.q)
-            for a, ca in _antipode_class(canonicalize(left)).terms.items()
+            (-c * ca, {canonicalize(a.q.down(right.q)): ONE})
+            for (left, right), c in _Delta_class(tc).terms.items()
+            if left.n and right.n
+            for a, ca in _antipode_class(left).terms.items()
         ]
     )
 

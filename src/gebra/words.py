@@ -255,6 +255,7 @@ def _cuts(n, k):
 
 def compositions(n):
     """All compositions of n, by length then lexicographically."""
+    n = as_int(n, "composition size")
     if n == 0:
         yield ()
         return
@@ -271,6 +272,7 @@ def _blocks(w, cuts):
 
 def block_decompositions(w, k):
     """All ways to write w as a concatenation of k nonempty blocks."""
+    k = as_int(k, "block count")
     n = len(w)
     if k < 1 or k > n:
         return

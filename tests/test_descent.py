@@ -9,10 +9,10 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError, lin_sum
-from gebra.words import Alphabet, parse_word, reduced_coproduct_iter
+from gebra.words import Alphabet, block_decompositions, parse_word, reduced_coproduct_iter
 from gebra.binfty import BInftyStructure, check_axioms
 from gebra.idem import TangentEndo, eulerian_tangent
-from gebra.topo import closed_form_e, set_partitions, surjection_count
+from gebra.topo import QuasiOrder, closed_form_e, delta_bar_tuples, set_partitions, surjection_count
 from gebra.descent import (
     DescElem,
     GroupAlgElem,
@@ -82,11 +82,15 @@ def test_permutation_basics():
         lambda v: closed_form_e("ladder", v),
         lambda v: list(set_partitions(v)),
         lambda v: eulerian_tangent(BInftyStructure.shuffle(Alphabet("a")), v),
+        lambda v: list(compositions(v)),
+        lambda v: list(block_decompositions(parse_word("a.a", Alphabet("a")), v)),
+        lambda v: list(delta_bar_tuples(QuasiOrder(2), v)),
     ],
     ids=["Permutation", "dynkin_desc", "solomon_desc", "GroupAlgElem", "DescElem",
          "Alphabet-degree", "BInftyStructure-bound", "TangentEndo-bound", "Poly-exponent",
          "check_axioms-budget", "reduced_coproduct_iter-k", "surjection_count-n",
-         "surjection_count-k", "closed_form_e-n", "set_partitions-n", "eulerian_tangent-bound"],
+         "surjection_count-k", "closed_form_e-n", "set_partitions-n", "eulerian_tangent-bound",
+         "compositions-n", "block_decompositions-k", "delta_bar_tuples-k"],
 )
 @pytest.mark.parametrize("v", [1.5, 2.0, "2"])
 def test_constructors_refuse_non_integers(make, v):

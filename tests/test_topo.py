@@ -696,6 +696,13 @@ def test_upsilon_methods_agree_on_all_isoclasses():
             assert upsilon(tc, "recursive") == upsilon(tc, "surjection_oracle")
 
 
+@pytest.mark.parametrize("n,count", [(6, 24), (7, 10)])
+def test_upsilon_methods_agree_on_random_classes(n, count):
+    for q in random_quasi_orders(n, count, seed=700 + n):
+        tc = canonicalize(q)
+        assert upsilon(tc, "recursive") == upsilon(tc, "surjection_oracle"), q
+
+
 def test_upsilon_errors():
     with pytest.raises(InputError, match="unit topology"):
         upsilon(U)
@@ -1047,6 +1054,40 @@ def test_a_class_hashes_alike_when_built_cold_and_from_the_memo():
         for x in (cold, hit, again):
             assert x == tc and hash(x) == hash(tc) == hash(tc.key), tc
     assert len(set(classes) | {x for pair in built for x in pair}) == len(classes)
+
+
+# The class routes of production, and the helpers only the oracles read.
+CLASS_ROUTES = ["_Delta_class", "_delta_class", "_antipode_class", "_pi_class",
+                "_upsilon_rec", "_lambda_class", "_e_class"]
+ORACLE_HELPERS = ["delta_bar_tuples", "_upsilon_oracle", "_lambda_delta_series", "_e_direct"]
+
+
+def refuse_calls(monkeypatch, names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route reached a function it must not share")
+
+    for name in names:
+        monkeypatch.setattr(topo, name, refuse)
+
+
+def test_production_routes_and_oracles_share_no_recursion(monkeypatch):
+    """Each side is computed, from cold memos, with the other side's
+    functions raising, and the two must agree."""
+    classes = iso_upto(4)
+    clear_topo_memos()
+    refuse_calls(monkeypatch, CLASS_ROUTES)
+    oracles = [
+        (pi_chain_oracle(tc), upsilon(tc, method="surjection_oracle"),
+         lambda_char(tc, method="delta_series"), eulerian_e(tc, method="direct"))
+        for tc in classes
+    ]
+    monkeypatch.undo()
+    clear_topo_memos()
+    refuse_calls(monkeypatch, ORACLE_HELPERS)
+    for tc, want in zip(classes, oracles):
+        got = inf_pi(tc), upsilon(tc), lambda_char(tc), eulerian_e(tc)
+        assert got == want, tc
+        assert antipode(tc) == -want[0], tc
 
 
 def test_size_bounds_are_checked_before_the_memos():
