@@ -33,9 +33,11 @@ repeat work, never corrupt a result.  Memoized results are shared objects:
 nothing may mutate them.
 
 Each size bound is checked by one function before anything is allocated:
-CANON_BOUND by _check_canon_bound, in every constructor and parser and in
-open_mask_list, DELTA_BOUND and EULER_BOUND by _check_delta_bound and
-_check_euler_bound, ISO_BOUND by all_isoclasses.
+CANON_BOUND by _check_canon_bound, in every constructor and parser, in
+open_mask_list and in the two labeled entries ec_partitions and
+closed_form_e; every topology operation goes through a class or one of
+these, so CANON_BOUND bounds them all.  ISO_BOUND is checked by
+all_isoclasses.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ from .exactlin import (
 from .words import compositions
 
 CANON_BOUND = 8
-DELTA_BOUND = 7
-EULER_BOUND = 6
 ISO_BOUND = 6
 
 
@@ -101,6 +101,7 @@ class QuasiOrder:
 
     def __init__(self, n, rows=None):
         n = _vertex_count(n)
+        _check_canon_bound(n)
         self.n = n
         base = [1 << i for i in range(n)]
         if rows is not None:
@@ -451,16 +452,12 @@ def as_topo_elem(x):
     return LinComb.single(as_class(x))
 
 
-def _linear(x, route, check=None, total=lin_sum):
+def _linear(x, route, total=lin_sum):
     """route, a map on classes, extended linearly to x: a class, a text or
-    QuasiOrder naming one, or a combination of classes, whose point counts
-    check sees first.  One class with coefficient 1 gets route's value
-    itself, shared when route is cached; else total sums (coefficient,
-    value) pairs."""
+    QuasiOrder naming one, or a combination of classes.  One class with
+    coefficient 1 gets route's value itself, shared when route is cached;
+    else total sums (coefficient, value) pairs."""
     terms = x.terms if isinstance(x, LinComb) else {as_class(x): ONE}
-    if check is not None:
-        for tc in terms:
-            check(tc.n)
     if len(terms) == 1:
         ((tc, c),) = terms.items()
         if c == 1:
@@ -473,8 +470,6 @@ def unit_class():
 
 
 def discrete(n):
-    n = _vertex_count(n)
-    _check_canon_bound(n)
     return QuasiOrderClass(QuasiOrder(n))
 
 
@@ -689,15 +684,10 @@ def _ec_blocks(q):
     yield from rec(q.full_mask)
 
 
-def _check_delta_bound(n):
-    if n > DELTA_BOUND:
-        raise SizeBoundError(f"size bound: contraction partitions stop at n = {DELTA_BOUND}")
-
-
 def ec_partitions(q):
     if isinstance(q, QuasiOrderClass):
         q = q.q
-    _check_delta_bound(q.n)
+    _check_canon_bound(q.n)
     return [
         Partition(q.n, [[v for v in range(q.n) if (b >> v) & 1] for b in blocks])
         for blocks, _ in _ec_blocks(q)
@@ -741,9 +731,7 @@ def delta_bar_tuples(q, k):
 
 def coproduct_delta(t):
     """Contraction-restriction: sum of (quotient, block restriction) over E_c."""
-    tc = as_class(t)
-    _check_delta_bound(tc.n)
-    return _delta_class(tc)
+    return _delta_class(as_class(t))
 
 
 @cache
@@ -914,11 +902,6 @@ def _lambda_delta_series(tc):
 
 # -- Eulerian idempotent -----------------------------------------------------
 
-def _check_euler_bound(n):
-    if n > EULER_BOUND:
-        raise SizeBoundError(f"size bound: the Eulerian idempotent stops at n = {EULER_BOUND}")
-
-
 def eulerian_e(t, method="via_delta"):
     """The canonical idempotent: kills products and the unit, fixes a
     complement of them.
@@ -932,7 +915,7 @@ def eulerian_e(t, method="via_delta"):
         route = _e_direct
     else:
         raise InputError(f"unknown method {method!r}")
-    return _linear(t, route, _check_euler_bound)
+    return _linear(t, route)
 
 
 @cache
@@ -953,7 +936,7 @@ def _e_direct(tc):
 
 def canonical_pi_idem(t):
     """pi composed with the Eulerian idempotent; lands in the primitives."""
-    return _linear(t, _pieul_class, _check_euler_bound)
+    return _linear(t, _pieul_class)
 
 
 @cache
@@ -1012,7 +995,7 @@ def closed_form_e(kind, n):
     n = as_int(n, "vertex count")
     if n < 2:
         raise InputError("closed forms start at n = 2")
-    _check_euler_bound(n)
+    _check_canon_bound(n)
     if kind == "ladder":
         return lin_sum(
             (Fraction((-1) ** (len(c) + 1), len(c)),

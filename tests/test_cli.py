@@ -871,27 +871,28 @@ def test_l7_delta2_is_byte_identical_within_1s(flags, digest):
 
 
 # sha256 of the stdout of topo pi and topo pieul (text, then --json) on 7- and
-# 8-point inputs, pinned from the route that summed over every chain of open
-# sets (up to 28 s a command); None marks a refusal: pieul stops at
-# EULER_BOUND = 6 points.  Inputs: disc8, l8, c8, "8; 1<2", seeded random
-# relabeled 7- and 8-point quasi-orders (some not T0), and a few 6- and
-# 7-point ones.
+# 8-point inputs.  The pi digests were pinned from the route that summed over
+# every chain of open sets (up to 28 s a command); the 7- and 8-point pieul
+# digests when pieul was first admitted past 6 points, from the routes that
+# admitted it (many inputs are products, which pieul takes to 0).  Inputs: disc8,
+# l8, c8, "8; 1<2", seeded random relabeled 7- and 8-point quasi-orders (some
+# not T0), and a few 6- and 7-point ones.
 PI_RUNS = (("pi", ()), ("pi", ("--json",)), ("pieul", ()), ("pieul", ("--json",)))
 PI_GOLDEN = [
-    ('8', ('2ba1edd1b0d50c5c8d316053cac5b028ce1235953a135c0744e89ed72be38cb1', 'c617c3bc5d9a1cd7e8d6012822f1d076e80b637317618cc84bbaa6d0b3cf4516', None, None)),
-    ('8; 2<1, 3<1, 4<1, 5<1, 6<1, 7<1, 8<1, 3<2, 4<2, 5<2, 6<2, 7<2, 8<2, 4<3, 5<3, 6<3, 7<3, 8<3, 5<4, 6<4, 7<4, 8<4, 6<5, 7<5, 8<5, 7<6, 8<6, 8<7', ('9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5', None, None)),
-    ('8; 1<2, 1<3, 1<4, 1<5, 1<6, 1<7, 1<8', ('9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5', None, None)),
-    ('8; 1<2', ('5b31cb8513851787e5ab52381f91bd07bac1b887343fdaa6e01a43c61e77fe29', '5eca0e5f963956995ff3e36d39ddec958e272b427f264892c442b25cb3a4f0bb', None, None)),
-    ('7; 1<6, 5<1, 5<6', ('28de803bd1c8bb6a66c0b35384dc1c9f23ba6da25da8076a6185fad008dc7ecb', '223e7fc7dab284fa84433074824d40b7a7b3483672e288e18445253bd8597d27', None, None)),
-    ('7; 1<4, 2<3, 2<6, 3<2, 3<5, 4<2, 4<5, 5<6, 6<1', ('2370260f243fbec7503df6b158b284cb2a8a95a08a81a3e99ff289f924dd3d96', '644b24730067353e332e80891865e56082c25e2ee937f0d45c2cadd366bcfca2', None, None)),
-    ('7; 1<7, 2<3, 2<6, 2<7, 3<1, 3<5, 4<1, 4<6, 5<2, 5<4, 5<7, 6<7, 7<5, 7<6', ('a0174901c43bf3b4f630eb84a1bef6970f2c6e0dd5b8f06edbfa3062bb18c0ee', '9ef979c5a2641f8bdda60651c8767e310152e5eb381aef2cda95374971fa9966', None, None)),
-    ('8; 1<3, 1<4, 2<4, 8<2', ('700bdd850fb07c1135e12ac81fcd045faeab03d64edad693e48288df4502dc5e', '3c555b234fcf3b8d5d90f7583972feff480bf985eded854ca9ac0d98eb0036f2', None, None)),
-    ('8; 1<7, 1<8, 2<5, 2<8, 3<7, 4<1, 4<6, 4<7, 5<1', ('04d6df11e204bbef82ce42def9ced515e99735434d73e80f73c41ce7c9c01f6f', 'b4f9ef9d809c369d0b8357f2ae0c0bb1eca424ab2d4f89908ff5b575562aa01b', None, None)),
-    ('8; 1<6, 2<1, 2<3, 2<5, 2<7, 3<1, 3<5, 3<8, 4<5, 4<7, 4<8, 5<2, 6<1, 6<3, 6<8, 7<2, 8<2, 8<4, 8<6', ('cade391e19d17a5f3cd0c9417f8cd386899fbc39bb86cb6ecbdabe1a5041d462', '65a7da2fbfa020c7ff29cf711428fee09e021c1d7f8e91c9d2e3a9d26b8f65f9', None, None)),
-    ('7', ('05d203ac2e76aaa32532f59fdcc373570dbf9166550e0ca338956f726ed72858', 'e9bbe60bf6190fc8cc48819c259924c5092d22760d20321809b4aaaecef033db', None, None)),
-    ('7; 1<2', ('2e86e0e61bc7cb6f5c536183c0f313b8b6a0b2c8031a00dcf88418d0cdc4c8d2', '49da45b4bcf8470f42e1294b06bdcf5426dcc153ffef12072db7d4a43d2c68d7', None, None)),
-    ('7; 1<2, 1<3, 2<4, 3<4', ('a162854968bb07d059d070432026588e7d2aa34e6c1955864e8a2b0d57828880', 'aa660118f1062e30aa168ec56f66060302cda10652a6c459599a33ad88d590ec', None, None)),
-    ('7; 1~2, 3<4, 3<5, 6<7', ('a923980df17cfc91adbd51107fb1dd79a8dd07d5f8cb1122008abfea01e184bc', '74b6c857342519f7635a2f9009dcdb10a5c28aaa7504fa92c82066440a75b93e', None, None)),
+    ('8', ('2ba1edd1b0d50c5c8d316053cac5b028ce1235953a135c0744e89ed72be38cb1', 'c617c3bc5d9a1cd7e8d6012822f1d076e80b637317618cc84bbaa6d0b3cf4516', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('8; 2<1, 3<1, 4<1, 5<1, 6<1, 7<1, 8<1, 3<2, 4<2, 5<2, 6<2, 7<2, 8<2, 4<3, 5<3, 6<3, 7<3, 8<3, 5<4, 6<4, 7<4, 8<4, 6<5, 7<5, 8<5, 7<6, 8<6, 8<7', ('9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5', '8cca47c0acfd1cb25f21a43626574b7a590a3a27586e8b2771f6ef32cca0fccd', '2bb005a5f0ee5628f34ba447ab63366a27fc19c0c6b4bfe2ee54e218ccd466d2')),
+    ('8; 1<2, 1<3, 1<4, 1<5, 1<6, 1<7, 1<8', ('9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5', '67fd4f7fe6baf2763ee3fa01dfa5b174059fa846bf9df4283e2b79bd8d5dc27b', '6d685101321991ad461526a19a5c6b52bab1c0a4e6054fc9a43445c278da2989')),
+    ('8; 1<2', ('5b31cb8513851787e5ab52381f91bd07bac1b887343fdaa6e01a43c61e77fe29', '5eca0e5f963956995ff3e36d39ddec958e272b427f264892c442b25cb3a4f0bb', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('7; 1<6, 5<1, 5<6', ('28de803bd1c8bb6a66c0b35384dc1c9f23ba6da25da8076a6185fad008dc7ecb', '223e7fc7dab284fa84433074824d40b7a7b3483672e288e18445253bd8597d27', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('7; 1<4, 2<3, 2<6, 3<2, 3<5, 4<2, 4<5, 5<6, 6<1', ('2370260f243fbec7503df6b158b284cb2a8a95a08a81a3e99ff289f924dd3d96', '644b24730067353e332e80891865e56082c25e2ee937f0d45c2cadd366bcfca2', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('7; 1<7, 2<3, 2<6, 2<7, 3<1, 3<5, 4<1, 4<6, 5<2, 5<4, 5<7, 6<7, 7<5, 7<6', ('a0174901c43bf3b4f630eb84a1bef6970f2c6e0dd5b8f06edbfa3062bb18c0ee', '9ef979c5a2641f8bdda60651c8767e310152e5eb381aef2cda95374971fa9966', 'a0174901c43bf3b4f630eb84a1bef6970f2c6e0dd5b8f06edbfa3062bb18c0ee', '9ef979c5a2641f8bdda60651c8767e310152e5eb381aef2cda95374971fa9966')),
+    ('8; 1<3, 1<4, 2<4, 8<2', ('700bdd850fb07c1135e12ac81fcd045faeab03d64edad693e48288df4502dc5e', '3c555b234fcf3b8d5d90f7583972feff480bf985eded854ca9ac0d98eb0036f2', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('8; 1<7, 1<8, 2<5, 2<8, 3<7, 4<1, 4<6, 4<7, 5<1', ('04d6df11e204bbef82ce42def9ced515e99735434d73e80f73c41ce7c9c01f6f', 'b4f9ef9d809c369d0b8357f2ae0c0bb1eca424ab2d4f89908ff5b575562aa01b', '35b69104c97e405416ec5c95f1f2771c8e93ca59497cb494b80e6ded215970f7', '474a1350a4e869fb903228adbf830b98fa14975b4445063d50ca6b8e3b2bbbbf')),
+    ('8; 1<6, 2<1, 2<3, 2<5, 2<7, 3<1, 3<5, 3<8, 4<5, 4<7, 4<8, 5<2, 6<1, 6<3, 6<8, 7<2, 8<2, 8<4, 8<6', ('cade391e19d17a5f3cd0c9417f8cd386899fbc39bb86cb6ecbdabe1a5041d462', '65a7da2fbfa020c7ff29cf711428fee09e021c1d7f8e91c9d2e3a9d26b8f65f9', 'cade391e19d17a5f3cd0c9417f8cd386899fbc39bb86cb6ecbdabe1a5041d462', '65a7da2fbfa020c7ff29cf711428fee09e021c1d7f8e91c9d2e3a9d26b8f65f9')),
+    ('7', ('05d203ac2e76aaa32532f59fdcc373570dbf9166550e0ca338956f726ed72858', 'e9bbe60bf6190fc8cc48819c259924c5092d22760d20321809b4aaaecef033db', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('7; 1<2', ('2e86e0e61bc7cb6f5c536183c0f313b8b6a0b2c8031a00dcf88418d0cdc4c8d2', '49da45b4bcf8470f42e1294b06bdcf5426dcc153ffef12072db7d4a43d2c68d7', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('7; 1<2, 1<3, 2<4, 3<4', ('a162854968bb07d059d070432026588e7d2aa34e6c1955864e8a2b0d57828880', 'aa660118f1062e30aa168ec56f66060302cda10652a6c459599a33ad88d590ec', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
+    ('7; 1~2, 3<4, 3<5, 6<7', ('a923980df17cfc91adbd51107fb1dd79a8dd07d5f8cb1122008abfea01e184bc', '74b6c857342519f7635a2f9009dcdb10a5c28aaa7504fa92c82066440a75b93e', '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5')),
     ('6; 1<2, 1<3, 2<4, 3<4, 4<5, 4<6', ('9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5', 'bbe487f476ee3877451dfc79cdfe12bc91220afdc3742c1e3aa592831c45c0e3', '9a4fa1a51bbce7ff76170c2e516f391a8d8d1725f7af38e29a112ce4d64324b0')),
     ('6; 1~2, 2<3, 2<4, 5<4, 5<6', ('dd3ebd714e7c0380f07e1935f45600de8ccbcb00dddcb8b315e20de68585cd98', '1d883baf2e51af904017f9d7cf93c9dcdf9924f3d3cb0c929bd7fa02d6ede921', '95e4ba794b1321f9d4fba4555806c1785b5086f63628fdbe910dd83b297a2125', '99c0eccc75c19d82f6f1cdf9319e4521154f543c1cb406f7e037b2bc2adac84d')),
 ]
@@ -902,12 +903,8 @@ def test_pi_and_pieul_up_to_8_points_are_byte_identical(text, digests, capsys):
     for (cmd, flags), want in zip(PI_RUNS, digests):
         code = main(["topo", cmd, text, *flags])
         out, err = capsys.readouterr()
-        if want is None:
-            assert (code, out) == (3, "")
-            assert err.startswith("error: size bound")
-        else:
-            assert (code, err) == (0, "")
-            assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 # topo pi at CANON_BOUND = 8 on the most open sets (disc8) and the most with
@@ -942,12 +939,15 @@ def test_size_bound_exit_code():
     for argv in (
         ("topo", "lambda", "9; 1<2"),
         ("desc", "dynkin", "8"),
-        ("topo", "eulerian", "7; 1<2"),
     ):
         code, out, err = run(*argv)
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+    for cmd in ("eulerian", "pieul", "delta2"):
+        assert run("topo", cmd, "9; 1<2") == (3, "", "error: size bound: canonical forms stop at n = 8\n")
+    # every topology command admits CANON_BOUND points; "7; 1<2" is a product
+    assert run("topo", "eulerian", "7; 1<2") == (0, "0\n", "")
 
 
 def _timed_run(*argv):

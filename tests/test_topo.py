@@ -58,6 +58,10 @@ B2 = as_class("2; 1~2")  # one class of size two
 B3 = as_class("3; 1~2, 1~3, 2~3")
 CHB2 = as_class("3; 1~2, 1<3")  # ladder with bottom class of size two
 D1L2 = as_class("3; 2<3")  # point next to a 2-chain
+# at CANON_BOUND: the slowest pieul found (the CANON_BOUND row of
+# tests/test_bounds.py) and the Boolean lattice on three atoms
+WORST8 = as_class("8; 6<1, 7<1, 8<1, 5<2, 7<2, 8<2, 4<3, 5<3, 6<3, 7<3, 8<3, 8<4, 8<6")
+LATTICE8 = as_class(QuasiOrder(8, [sum(1 << j for j in range(8) if i & j == i) for i in range(8)]))
 
 
 def E(*pairs):
@@ -139,7 +143,7 @@ def test_canonical_bound():
     for make, arg in ((parse_topology, f"{past}; 1<2"), (parse_topology, "16"),
                       (discrete, past), (ladder, past), (corolla, past),
                       (parse_topology, "1000000"), (discrete, 10**6), (ladder, 10**6),
-                      (open_sets, QuasiOrder(past))):
+                      (QuasiOrder, past), (QuasiOrder, 40000)):
         t0 = time.monotonic()
         with pytest.raises(SizeBoundError, match=f"canonical forms stop at n = {topo.CANON_BOUND}$"):
             make(arg)
@@ -220,7 +224,10 @@ def test_open_sets():
     assert len(open_sets(D3.q)) == 8
     assert len(open_sets(C3.q)) == 5
     assert len(open_sets(B2.q)) == 2  # a class is all-or-nothing
-    big = QuasiOrder(16, [0] * 16)
+    with pytest.raises(SizeBoundError, match="size bound"):
+        QuasiOrder(16, [0] * 16)
+    # a labeled order past the bound built from two within it
+    big = discrete(8).q.disjoint_union(discrete(8).q)
     with pytest.raises(SizeBoundError, match="size bound"):
         open_sets(big)
 
@@ -389,20 +396,26 @@ def test_ec_partition_counts():
     assert len(ec_partitions(D1.q)) == 1
     assert len(ec_partitions(L2.q)) == 2
     assert len(ec_partitions(C3.q)) == 4
-    with pytest.raises(SizeBoundError, match="size bound"):
-        ec_partitions(QuasiOrder(8, [0] * 8))
+    # at the bound: a chain contracts along its 2^7 interval partitions
+    assert len(ec_partitions(ladder(8))) == 2**7
+    # a labeled order of 16 points, built from two within the bound
+    big = ladder(8).q.disjoint_union(ladder(8).q)
+    t0 = time.monotonic()
+    with pytest.raises(SizeBoundError, match=f"canonical forms stop at n = {topo.CANON_BOUND}$"):
+        ec_partitions(big)
+    assert time.monotonic() - t0 < 1.0
+
+
+def assert_delta_counit(tc):
+    """(eps_delta x id) and (id x eps_delta) after delta are the identity."""
+    split = coproduct_delta(tc).items()
+    assert lin_sum((c * eps_delta(a), {b: 1}) for (a, b), c in split) == LinComb.single(tc), tc
+    assert lin_sum((c * eps_delta(b), {a: 1}) for (a, b), c in split) == LinComb.single(tc), tc
 
 
 def test_small_delta_counit():
-    # (eps_delta x id) after delta is the identity
-    for tc in iso_upto(4):
-        left = LinComb.zero()
-        right = LinComb.zero()
-        for (a, b), c in coproduct_delta(tc).items():
-            left = left + LinComb.single(b, c * eps_delta(a))
-            right = right + LinComb.single(a, c * eps_delta(b))
-        assert left == LinComb.single(tc)
-        assert right == LinComb.single(tc)
+    for tc in iso_upto(4) + [WORST8, LATTICE8]:
+        assert_delta_counit(tc)
 
 
 def test_small_delta_coassociativity():
@@ -785,14 +798,19 @@ def test_canonical_pi_idem_golden_values():
 
 
 def test_eulerian_methods_agree():
-    for tc in iso_upto(4):
-        assert eulerian_e(tc, "via_delta") == eulerian_e(tc, "direct")
+    # and on ten seeded random 7-point classes (1.6-2.1 s)
+    for tc in iso_upto(4) + [canonicalize(q) for q in random_quasi_orders(7, 10, seed=707)]:
+        assert eulerian_e(tc, "via_delta") == eulerian_e(tc, "direct"), tc
 
 
 def test_eulerian_is_idempotent():
-    for tc in iso_upto(4):
+    # and on the two named families at CANON_BOUND (0.7 and 1.5 s in
+    # process); on WORST8 the two checks took 10 s
+    for tc in iso_upto(4) + [corolla(topo.CANON_BOUND), ladder(topo.CANON_BOUND)]:
         e = eulerian_e(tc)
         assert eulerian_e(e) == e
+        pe = canonical_pi_idem(tc)
+        assert inf_pi(pe) == pe
 
 
 def test_eulerian_kills_products():
@@ -804,12 +822,16 @@ def test_eulerian_kills_products():
 
 
 def test_eulerian_size_bound():
-    with pytest.raises(SizeBoundError, match="size bound"):
-        eulerian_e(as_class("7; 1<2"))
+    # up to CANON_BOUND points e answers: "7; 1<2" is the product l2 disc5
+    assert eulerian_e(as_class("7; 1<2")) == LinComb.zero()
+    assert canonical_pi_idem(as_class("8; 1<2")) == LinComb.zero()
+    for route in (eulerian_e, canonical_pi_idem):
+        with pytest.raises(SizeBoundError, match="size bound"):
+            route("9; 1<2")
 
 
 def test_closed_forms_match_eulerian():
-    for n in range(2, 6):
+    for n in range(2, topo.CANON_BOUND + 1):
         assert closed_form_e("ladder", n) == eulerian_e(ladder(n))
         assert closed_form_e("corolla", n) == eulerian_e(corolla(n))
     assert closed_form_e("ladder", 2) == E((1, L2), (Fraction(-1, 2), D2))
@@ -820,6 +842,11 @@ def test_closed_forms_match_eulerian():
         closed_form_e("ladder", 1)
     with pytest.raises(InputError):
         closed_form_e("wheel", 3)
+    for kind in ("ladder", "corolla"):
+        t0 = time.monotonic()
+        with pytest.raises(SizeBoundError, match=f"canonical forms stop at n = {topo.CANON_BOUND}$"):
+            closed_form_e(kind, 10**6)
+        assert time.monotonic() - t0 < 1.0
 
 
 # -- the canonical search and the E_c enumeration against exhaustive oracles --
@@ -1029,11 +1056,12 @@ def test_a_class_gets_the_shared_cached_result():
         inf_pi(unit_class())
     with pytest.raises(InputError, match="not augmentation-reduced"):
         inf_pi(LinComb.single(unit_class()))
+    # "7; 1<2" is a product, so e and pi o e kill it
     seven = as_class("7; 1<2")
     for route in (eulerian_e, canonical_pi_idem):
-        for arg in (seven, LinComb.single(seven), E((1, D1), (2, seven))):
-            with pytest.raises(SizeBoundError, match="size bound"):
-                route(arg)
+        assert route(seven) == LinComb.zero()
+        assert route(LinComb.single(seven)) is route(seven)
+        assert route(E((1, D1), (2, seven))) == E((1, D1))
 
 
 def test_a_class_hashes_alike_when_built_cold_and_from_the_memo():
@@ -1090,25 +1118,40 @@ def test_production_routes_and_oracles_share_no_recursion(monkeypatch):
         assert antipode(tc) == -want[0], tc
 
 
+# pi o e against the direct series and the chain-sum oracle, which took up
+# to 8 s on one 7-point class in process: on the two of the ten draws of
+# test_eulerian_methods_agree whose pi o e has more than ten terms (325 and
+# 291; 1.4-1.7 s each, cold).
+PIEUL_ORACLE_7 = [
+    "7; 5<1, 6<1, 7<1, 3<2, 4<2, 5<2, 6<2, 7<2, 5<4, 6<4, 7<4, 6~7",
+    "7; 4<1, 5<1, 6<1, 7<1, 3<2, 4<2, 5<2, 6<2, 7<2, 5<4, 6<4, 7<4, 6~7",
+]
+
+
+def test_pi_o_e_matches_the_oracles_on_two_7_point_classes():
+    for text in PIEUL_ORACLE_7:
+        tc = as_class(text)
+        assert canonical_pi_idem(tc) == eulerian_e(tc, method="direct").apply(pi_chain_oracle), text
+
+
 def test_size_bounds_are_checked_before_the_memos():
-    seven, eight = as_class("7; 1<2, 3<4"), as_class("8; 1<2")
     refused = [
-        (canonical_pi_idem, seven),
-        (eulerian_e, seven),
-        (coproduct_delta, eight),
         (as_class, "9; 1<2"),
         (coproduct_Delta, "9"),
         (coproduct_delta, "9; 1<2"),
         (inf_pi, "9"),
+        (eulerian_e, "9; 1<2, 3<4"),
         (canonical_pi_idem, "9; 1<2"),
     ]
     clear_topo_memos()
     for fn, arg in refused:
         with pytest.raises(SizeBoundError, match="size bound"):
             fn(arg)
-    # fill the class routes behind each refusal, then ask again
-    topo._pieul_class(seven)
-    topo._delta_class(eight)
+    # fill the class routes at the bound, then ask again
+    seven, eight = as_class("7; 1<2, 3<4"), as_class("8; 1<2")
+    assert canonical_pi_idem(seven) is topo._pieul_class(seven)
+    assert eulerian_e(seven) is topo._e_class(seven)
+    assert coproduct_delta(eight) is topo._delta_class(eight)
     for fn, arg in refused:
         with pytest.raises(SizeBoundError, match="size bound"):
             fn(arg)
