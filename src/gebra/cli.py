@@ -3,9 +3,12 @@
 Every computation the library offers is reachable as a subcommand with
 deterministic output: rationals print reduced as "p/q", term lists are
 sorted canonically, and --json switches any element output to
-{"terms": [{"coeff": "p/q", "basis": ...}]}.
+{"terms": [{"coeff": "p/q", "basis": ...}]}.  Each command returns its
+result; main renders it through _render, the one output format, and writes
+it with one print.
 
-Exit codes: 0 on success, 2 on malformed input, 3 on a size-bound
+Exit codes: 0 on success, 1 when stdout is closed or its reader has gone
+(nothing is written to stderr), 2 on malformed input, 3 on a size-bound
 violation.
 
 Integer arguments are read by exactlin.parse_ints; without --alphabet or
@@ -26,9 +29,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
+from fractions import Fraction
 
-from .exactlin import AlgebraError, InputError, SizeBoundError, format_terms, parse_ints
+from .exactlin import AlgebraError, InputError, LinComb, Poly, SizeBoundError, format_terms, parse_ints
 from .words import Alphabet, infer_alphabet, parse_tensor, parse_word
 
 
@@ -56,42 +61,39 @@ descent = _lazy_layer("descent")
 topo = _lazy_layer("topo")
 
 
-# -- output helpers -----------------------------------------------------------
+# -- output -------------------------------------------------------------------
 
 
-def _emit_elem(args, x, render=str):
-    """Print a linear combination, text or JSON, terms in canonical order."""
-    if args.json:
-        terms = [{"coeff": str(c), "basis": render(k)} for k, c in x.items()]
-        print(json.dumps({"terms": terms}))
+def _render(out, args):
+    """The output of every command: its result out as text, or as JSON with --json.
+
+    out is a pass/fail report (a dict), a LinComb (the keys of a topo
+    command print through topo.render_basis), a Poly, a scalar, or the one
+    class of topo ladder|corolla, which prints with its short name.
+    """
+    if isinstance(out, dict):
+        if args.json:
+            return json.dumps(out)
+        return "\n".join(f"{key}: {'pass' if ok else 'fail'}" for key, ok in out.items())
+    if isinstance(out, LinComb):
+        render = topo.render_basis if args.cmd == "topo" else str
+        if not args.json:
+            return format_terms(out, render)
+        terms = ((render(k), c) for k, c in out.items())
+    elif isinstance(out, Poly):
+        if not args.json:
+            return str(out)
+        terms = out.listing()
+    elif isinstance(out, Fraction):
+        if not args.json:
+            return str(out)
+        terms = [("1", out)]
     else:
-        print(format_terms(x, render))
-
-
-def _emit_scalar(args, value):
-    if args.json:
-        print(json.dumps({"terms": [{"coeff": str(value), "basis": "1"}]}))
-    else:
-        print(value)
-
-
-def _emit_poly(args, p):
-    if args.json:
-        terms = []
-        for k in sorted(p.coeffs, reverse=True):
-            basis = "1" if k == 0 else ("X" if k == 1 else f"X^{k}")
-            terms.append({"coeff": str(p.coeffs[k]), "basis": basis})
-        print(json.dumps({"terms": terms}))
-    else:
-        print(p)
-
-
-def _emit_report(args, report):
-    if args.json:
-        print(json.dumps(report))
-    else:
-        for key, val in report.items():
-            print(f"{key}: {'pass' if val else 'fail'}")
+        text, name = str(out), topo.topo_name(out)
+        if not args.json:
+            return f"{text} ({name})" if name else text
+        return json.dumps({"terms": [{"coeff": "1", "basis": text}], "name": name})
+    return json.dumps({"terms": [{"coeff": str(c), "basis": basis} for basis, c in terms]})
 
 
 # -- structure resolution -----------------------------------------------------
@@ -121,103 +123,20 @@ def _structure(args, texts):
 # -- word-side commands -------------------------------------------------------
 
 
-def _emit_product(args, B):
-    """The induced product of the words args.word and args.word2 under B."""
-    w = parse_word(args.word, B.alphabet)
-    w2 = parse_word(args.word2, B.alphabet)
-    _emit_elem(args, binfty.induced_product(B, w, w2))
-
-
-def cmd_binf_prod(args):
-    """binf prod, and shuffle, whose parser has no --table or --mode."""
-    _emit_product(args, _structure(args, [args.word, args.word2]))
-
-
-def cmd_qshuffle(args):
+def cmd_product(args):
+    """The induced product of the words args.word and args.word2: binf prod,
+    qshuffle, and shuffle, whose parser has no --table or --mode."""
     B = _structure(args, [args.word, args.word2])
-    if B.mode != binfty.QUASI_SHUFFLE:
+    if args.cmd == "qshuffle" and B.mode != binfty.QUASI_SHUFFLE:
         raise InputError("qshuffle needs a quasi_shuffle table (mode: qshuffle)")
-    _emit_product(args, B)
-
-
-def cmd_binf_check(args):
-    B = _structure(args, [])
-    _emit_report(args, binfty.check_axioms(B, args.budget))
-
-
-def cmd_eulerian(args):
-    B = _structure(args, [args.word])
-    _emit_elem(args, idem.eulerian_idempotent(B, parse_word(args.word, B.alphabet)))
-
-
-def cmd_varpi(args):
-    B = _structure(args, [args.word])
-    _emit_elem(args, idem.varpi(B, parse_word(args.word, B.alphabet)))
+    w, w2 = (parse_word(text, B.alphabet) for text in (args.word, args.word2))
+    return binfty.induced_product(B, w, w2)
 
 
 def cmd_hoffman(args):
     B = _structure(args, [args.word])
     fn = idem.hoffman_log if args.which == "log" else idem.hoffman_exp
-    _emit_elem(args, fn(B, parse_word(args.word, B.alphabet)))
-
-
-def cmd_omega(args):
-    B = _structure(args, [args.expr])
-    _emit_elem(args, idem.omega_tilde(B, parse_tensor(args.expr, B.alphabet)))
-
-
-def cmd_zeta(args):
-    B = _structure(args, [args.expr])
-    _emit_elem(args, idem.zeta_tilde(B, parse_tensor(args.expr, B.alphabet)))
-
-
-# -- descent commands ---------------------------------------------------------
-
-
-def cmd_desc(args):
-    sub = args.desc_cmd
-    if sub == "dynkin":
-        _emit_elem(args, descent.dynkin(args.n).terms)
-    elif sub == "solomon":
-        _emit_elem(args, descent.solomon(args.n).terms)
-    elif sub == "conv":
-        g = descent.parse_group_alg(args.g)
-        h = descent.parse_group_alg(args.h)
-        _emit_elem(args, descent.convolution(g, h).terms)
-    elif sub == "check":
-        _emit_report(args, descent.identity_report(args.n))
-
-
-# -- topology commands --------------------------------------------------------
-
-
-def cmd_topo(args):
-    sub = args.topo_cmd
-    if sub in ("ladder", "corolla"):
-        tc = topo.ladder(args.n) if sub == "ladder" else topo.corolla(args.n)
-        name = topo.topo_name(tc)
-        if args.json:
-            out = {"terms": [{"coeff": "1", "basis": tc.q.to_text()}], "name": name}
-            print(json.dumps(out))
-        else:
-            text = tc.q.to_text()
-            print(f"{text} ({name})" if name else text)
-        return
-    tc = topo.as_class(args.topology)
-    if sub == "delta":
-        _emit_elem(args, topo.coproduct_Delta(tc), render=topo.render_basis)
-    elif sub == "delta2":
-        _emit_elem(args, topo.coproduct_delta(tc), render=topo.render_basis)
-    elif sub == "pi":
-        _emit_elem(args, topo.inf_pi(tc), render=topo.render_basis)
-    elif sub == "upsilon":
-        _emit_poly(args, topo.upsilon(tc))
-    elif sub == "lambda":
-        _emit_scalar(args, topo.lambda_char(tc))
-    elif sub == "eulerian":
-        _emit_elem(args, topo.eulerian_e(tc), render=topo.render_basis)
-    elif sub == "pieul":
-        _emit_elem(args, topo.canonical_pi_idem(tc), render=topo.render_basis)
+    return fn(B, parse_word(args.word, B.alphabet))
 
 
 # -- parser -------------------------------------------------------------------
@@ -242,22 +161,33 @@ def _table_parents():
     return _json_parents() + [tbl]
 
 
-def _word_command(func, *positionals):
-    """Builder of a word-side command: --json, the structure options, then the positionals."""
+def _word_command(op, positional):
+    """Builder of a word command: --json, the structure options, then one
+    positional, a word ("word") or a tensor ("expr"), read over the
+    alphabet of the structure B; the result is idem.<op>(B, value)."""
+    read = parse_word if positional == "word" else parse_tensor
+
+    def run(args):
+        text = getattr(args, positional)
+        B = _structure(args, [text])
+        return getattr(idem, op)(B, read(text, B.alphabet))
+
     def build(sub, name, help_text):
         sp = sub.add_parser(name, parents=_table_parents(), help=help_text)
-        for arg in positionals:
-            sp.add_argument(arg)
-        sp.set_defaults(func=func)
+        sp.add_argument(positional)
+        sp.set_defaults(func=run)
     return build
 
 
-def _build_shuffle(sub, name, help_text):
-    sp = sub.add_parser(name, parents=_json_parents(), help=help_text)
-    sp.add_argument("--alphabet", metavar="SPEC")
+def _build_product(sub, name, help_text):
+    if name == "shuffle":
+        sp = sub.add_parser(name, parents=_json_parents(), help=help_text)
+        sp.add_argument("--alphabet", metavar="SPEC")
+    else:
+        sp = sub.add_parser(name, parents=_table_parents(), help=help_text)
     sp.add_argument("word")
     sp.add_argument("word2")
-    sp.set_defaults(func=cmd_binf_prod)
+    sp.set_defaults(func=cmd_product)
 
 
 def _build_hoffman(sub, name, help_text):
@@ -268,72 +198,61 @@ def _build_hoffman(sub, name, help_text):
 
 
 def _build_binf(sub, name, help_text):
-    bsub = sub.add_parser(name, help=help_text).add_subparsers(
-        dest="binf_cmd", required=True, metavar="SUBCOMMAND"
-    )
-    parents = _table_parents()
-    sp = bsub.add_parser("prod", parents=parents, help="induced product of two words")
-    sp.add_argument("word")
-    sp.add_argument("word2")
-    sp.set_defaults(func=cmd_binf_prod)
-    sp = bsub.add_parser("check", parents=parents, help="bounded axiom report")
+    bsub = sub.add_parser(name, help=help_text).add_subparsers(required=True, metavar="SUBCOMMAND")
+    _build_product(bsub, "prod", "induced product of two words")
+    sp = bsub.add_parser("check", parents=_table_parents(), help="bounded axiom report")
     sp.add_argument("--budget", type=integer, default=3, help="total length budget (default 3)")
-    sp.set_defaults(func=cmd_binf_check)
+    sp.set_defaults(func=lambda args: binfty.check_axioms(_structure(args, []), args.budget))
 
 
 def _build_desc(sub, name, help_text):
-    dsub = sub.add_parser(name, help=help_text).add_subparsers(
-        dest="desc_cmd", required=True, metavar="SUBCOMMAND"
-    )
+    dsub = sub.add_parser(name, help=help_text).add_subparsers(required=True, metavar="SUBCOMMAND")
     parents = _json_parents()
-    sp = dsub.add_parser("dynkin", parents=parents, help="iterated-bracket element")
-    sp.add_argument("n", type=integer)
-    sp.set_defaults(func=cmd_desc)
-    sp = dsub.add_parser("solomon", parents=parents, help="canonical Lie idempotent")
-    sp.add_argument("n", type=integer)
-    sp.set_defaults(func=cmd_desc)
+    for name, help_text in (("dynkin", "iterated-bracket element"), ("solomon", "canonical Lie idempotent")):
+        sp = dsub.add_parser(name, parents=parents, help=help_text)
+        sp.add_argument("n", type=integer)
+        sp.set_defaults(func=lambda args, op=name: getattr(descent, op)(args.n).terms)
     sp = dsub.add_parser("conv", parents=parents, help="convolution of two group algebra elements")
     sp.add_argument("g")
     sp.add_argument("h")
-    sp.set_defaults(func=cmd_desc)
+    sp.set_defaults(func=lambda args: descent.convolution(
+        descent.parse_group_alg(args.g), descent.parse_group_alg(args.h)).terms)
     sp = dsub.add_parser("check", parents=parents, help="descent identity report")
     sp.add_argument("n", type=integer)
-    sp.set_defaults(func=cmd_desc)
+    sp.set_defaults(func=lambda args: descent.identity_report(args.n))
 
 
 def _build_topo(sub, name, help_text):
-    tsub = sub.add_parser(name, help=help_text).add_subparsers(
-        dest="topo_cmd", required=True, metavar="SUBCOMMAND"
-    )
+    tsub = sub.add_parser(name, help=help_text).add_subparsers(required=True, metavar="SUBCOMMAND")
     parents = _json_parents()
-    for name, help_text in (
-        ("delta", "open-set coproduct"),
-        ("delta2", "contraction-restriction coproduct"),
-        ("pi", "projector onto primitives"),
-        ("upsilon", "surjection polynomial"),
-        ("lambda", "lambda character"),
-        ("eulerian", "Eulerian idempotent"),
-        ("pieul", "pi composed with the Eulerian idempotent"),
+    for name, op, help_text in (
+        ("delta", "coproduct_Delta", "open-set coproduct"),
+        ("delta2", "coproduct_delta", "contraction-restriction coproduct"),
+        ("pi", "inf_pi", "projector onto primitives"),
+        ("upsilon", "upsilon", "surjection polynomial"),
+        ("lambda", "lambda_char", "lambda character"),
+        ("eulerian", "eulerian_e", "Eulerian idempotent"),
+        ("pieul", "canonical_pi_idem", "pi composed with the Eulerian idempotent"),
     ):
         sp = tsub.add_parser(name, parents=parents, help=help_text)
         sp.add_argument("topology", help='e.g. "3; 1<3, 2<3"')
-        sp.set_defaults(func=cmd_topo)
+        sp.set_defaults(func=lambda args, op=op: getattr(topo, op)(topo.as_class(args.topology)))
     for name, help_text in (("ladder", "the n-chain"), ("corolla", "the n-fan")):
         sp = tsub.add_parser(name, parents=parents, help=help_text)
         sp.add_argument("n", type=integer)
-        sp.set_defaults(func=cmd_topo)
+        sp.set_defaults(func=lambda args, op=name: getattr(topo, op)(args.n))
 
 
 # name -> (help text, builder of its parser)
 _COMMANDS = {
-    "shuffle": ("shuffle product of two words", _build_shuffle),
-    "qshuffle": ("quasi-shuffle product of two words", _word_command(cmd_qshuffle, "word", "word2")),
+    "shuffle": ("shuffle product of two words", _build_product),
+    "qshuffle": ("quasi-shuffle product of two words", _build_product),
     "binf": ("general bracket-induced operations", _build_binf),
-    "eulerian": ("Eulerian idempotent of a word", _word_command(cmd_eulerian, "word")),
-    "varpi": ("letter part of the Eulerian idempotent", _word_command(cmd_varpi, "word")),
+    "eulerian": ("Eulerian idempotent of a word", _word_command("eulerian_idempotent", "word")),
+    "varpi": ("letter part of the Eulerian idempotent", _word_command("varpi", "word")),
     "hoffman": ("quasi-shuffle closed forms", _build_hoffman),
-    "omega": ("isomorphism onto the shuffle algebra", _word_command(cmd_omega, "expr")),
-    "zeta": ("inverse isomorphism from the shuffle algebra", _word_command(cmd_zeta, "expr")),
+    "omega": ("isomorphism onto the shuffle algebra", _word_command("omega_tilde", "expr")),
+    "zeta": ("inverse isomorphism from the shuffle algebra", _word_command("zeta_tilde", "expr")),
     "desc": ("descent algebra of the symmetric groups", _build_desc),
     "topo": ("finite topologies", _build_topo),
 }
@@ -364,16 +283,24 @@ def build_parser(argv=None):
 
 
 def main(argv=None):
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        args.func(args)
-    except SizeBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        text = _render(args.func(args), args)
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SizeBoundError) else 2
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Python flushes stdout again at exit; point it
+        # at devnull so that this flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except ValueError:
+        if not sys.stdout.closed:
+            raise
+        return 1
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Substrate for the whole library: every structure downstream stores its
 coefficients in the types defined here.  All arithmetic is exact; floats do
-not appear anywhere.
+not appear anywhere: as_scalar, the one coercion of a coefficient that is not
+already a Fraction, refuses them.
 
 Every sum of combinations in the library goes through term_sum (lin_sum
 wraps it), with no exception: Poly and LinComb arithmetic here, and the
@@ -103,12 +104,21 @@ def parse_terms(text, parse_key, bare=None):
     return terms
 
 
+def as_scalar(c):
+    """c as a Fraction.  A float is refused: its binary expansion, not the
+    number written, would become the coefficient (0.1 would store
+    3602879701896397/36028797018963968)."""
+    if isinstance(c, float):
+        raise InputError(f"float coefficient {c!r}: write an int or a Fraction")
+    return Fraction(c)
+
+
 def scalar_div(a, b):
     """Exact division, the one scalar operation with a precondition."""
-    b = Fraction(b)
+    b = as_scalar(b)
     if b == 0:
         raise InputError("zero divisor")
-    return Fraction(a) / b
+    return as_scalar(a) / b
 
 
 class Poly:
@@ -128,18 +138,18 @@ class Poly:
                 if k < 0:
                     raise InputError(f"negative exponent {k} in polynomial")
                 if type(c) is not Fraction:
-                    c = Fraction(c)
+                    c = as_scalar(c)
                 if c:
                     clean[k] = c
         self.coeffs = clean
 
     @classmethod
     def const(cls, c):
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def x_power(cls, k, c=1):
-        return cls({k: Fraction(c)})
+        return cls({k: c})
 
     def degree(self):
         """Maximal stored exponent, or None for the zero polynomial."""
@@ -182,11 +192,12 @@ class Poly:
         return NotImplemented
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = as_scalar(c)
         return Poly({k: c * v for k, v in self.coeffs.items()})
 
     def __call__(self, t):
-        t = Fraction(t)
+        t = as_scalar(t)
         return sum((c * t**k for k, c in self.coeffs.items()), ZERO)
 
     def integrate_unit_interval(self):
@@ -196,27 +207,23 @@ class Poly:
             total += c * Fraction((-1) ** k, k + 1)
         return total
 
+    def listing(self):
+        """The (basis, coefficient) pairs by descending exponent, the basis
+        written "1", "X" or "X^k": the order and names of every printed form."""
+        return [
+            ("1" if k == 0 else "X" if k == 1 else f"X^{k}", self.coeffs[k])
+            for k in sorted(self.coeffs, reverse=True)
+        ]
+
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
-            if k == 0:
-                parts.append(str(c))
-                continue
-            if c == 1:
-                head = ""
-            elif c == -1:
-                head = "-"
+        out = ""
+        for basis, c in self.listing():
+            if basis == "1":
+                part = str(c)
             else:
-                head = str(c)
-            var = "X" if k == 1 else f"X^{k}"
-            parts.append(head + var)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+                part = ("" if c == 1 else "-" if c == -1 else str(c)) + basis
+            out += part if not out or part.startswith("-") else "+" + part
+        return out or "0"
 
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
@@ -238,7 +245,7 @@ class LinComb:
         if terms:
             for k, c in terms.items():
                 if type(c) is not Fraction:
-                    c = Fraction(c)
+                    c = as_scalar(c)
                 if c:
                     clean[k] = c
         self.terms = clean
@@ -300,7 +307,8 @@ class LinComb:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = as_scalar(c)
         return LinComb({k: c * v for k, v in self.terms.items()})
 
     def apply(self, f):

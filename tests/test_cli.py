@@ -1,5 +1,6 @@
 """End-to-end command line checks via subprocess."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -12,8 +13,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gebra.cli import main
+from gebra.cli import _COMMANDS, build_parser, main
 from gebra.descent import DEGREE_BOUND
+from test_bounds import BOUNDS
 
 QS_TABLE = """
 mode: qshuffle
@@ -671,6 +673,52 @@ def test_word_side_output_is_byte_identical(argv, digest, table_paths, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the outputs no other table pins: the named classes of
+# topo ladder|corolla (whose JSON adds a "name" key), desc conv, and the
+# pass/fail report of binf check (whose JSON is the report dict).  Pinned from
+# the CLI that printed each kind of result through its own helper.
+OUTPUT_GOLDEN = [
+    (('topo', 'ladder', '1'), "ab2cdf4988525af2b0930955c1db5bd0bacc6946f9422b6daa4969f527b2eb38"),
+    (('topo', 'ladder', '1', '--json'), "74137ecea3163a61f7719043fea7bf7c6b1c67b38ce8606ea333370bfd104889"),
+    (('topo', 'ladder', '2'), "0dbff621951d875f20c6cffb599e4dca6f7b9c3daa4db52e9d3f9398a782f56e"),
+    (('topo', 'ladder', '2', '--json'), "440f07796ae8c9bfc313918833866d7293a4a03fc57c9b16880ab7882b189e54"),
+    (('topo', 'ladder', '5'), "321a3a0afb530fdf7dbff786ac977057dc82e69d4ce7946f7165a8d800394090"),
+    (('topo', 'ladder', '5', '--json'), "973b6a0ee88609442803b0a91743af1681f2fc5f3a0cb69102736ee8464ae6b1"),
+    (('topo', 'ladder', '8'), "3b7fd51bcf01bb5be044aad504f14291d535c736a31529157f271953bce05c74"),
+    (('topo', 'ladder', '8', '--json'), "e04d11834b7a0a09be0c56c5cbee9b95a0d5798bd2f22fddbfb09ae9aec43b7b"),
+    (('topo', 'corolla', '2'), "0dbff621951d875f20c6cffb599e4dca6f7b9c3daa4db52e9d3f9398a782f56e"),
+    (('topo', 'corolla', '2', '--json'), "440f07796ae8c9bfc313918833866d7293a4a03fc57c9b16880ab7882b189e54"),
+    (('topo', 'corolla', '5'), "73e859c3772dd2971b61b10e741bb56796df07194dab2553ae237fd99058493e"),
+    (('topo', 'corolla', '5', '--json'), "11081a23af6dd30c0f3423a5dc9e570ce66a1444fa7d13d791353f79ee4b1918"),
+    (('topo', 'corolla', '8'), "0ae8173815f112ef88b8dce121bfa7d8f4ddfcbe5d5e4fd39ddfb1a13b6a0028"),
+    (('topo', 'corolla', '8', '--json'), "48db2626c8d37cff2a0ee79e76435df039eaf20e406af26228274fa0f1a6cbf5"),
+    (('desc', 'conv', '1/2*2 1', '1 2'), "a70252de3add7f8c37c5096d4215e5ce259ea825c79c309937889b034027f31a"),
+    (('desc', 'conv', '1/2*2 1', '1 2', '--json'), "40abd3ce7b93d509bae1266c7de2d34af177633b40924b8a7142e870493c6cb3"),
+    (('desc', 'conv', '2 1 + -1*1 2', '3 1 2'), "a9fb584a79480f568026d04e1c5e4acd565d14771ad965acfbdf74d60164582c"),
+    (('desc', 'conv', '2 1 + -1*1 2', '3 1 2', '--json'), "602f9cd47f0764846c0f9045364c42c41ae36f8691e7b7915b649d3eb0210e02"),
+    (('desc', 'conv', '1 2', '1'), "fd877a14f5874c4b575d0b66dbf2ffc3307a281c4857c1a6b97e0576053461fa"),
+    (('desc', 'conv', '1 2', '1', '--json'), "95e5e675c8b433579c026386e19f0a0595706859c37c7e5ff615628d76150d84"),
+    (('binf', 'check', '--alphabet', 'a,b', '--budget', '3'), "9f35551589eb1ee7a576eae14e7e9d385bb32f0e1859be8c00073025042d6d30"),
+    (('binf', 'check', '--alphabet', 'a,b', '--budget', '3', '--json'), "7c411195699239a74bc4916165f51c1d741f805384955d71e099a4561a4a7a9e"),
+    (('binf', 'check', '--table', '@fl', '--budget', '4'), "f2a230b5f0d6368025fe171f04240b085e325b2d7420363e05e7ab8ab45576e8"),
+    (('binf', 'check', '--table', '@fl', '--budget', '4', '--json'), "b0743fad41a4033058a9ef2230a9010c07d7ace887a230e713f93b606e889f7d"),
+    (('binf', 'check', '--table', '@qs', '--budget', '3'), "f2a230b5f0d6368025fe171f04240b085e325b2d7420363e05e7ab8ab45576e8"),
+    (('binf', 'check', '--table', '@qs', '--budget', '3', '--json'), "b0743fad41a4033058a9ef2230a9010c07d7ace887a230e713f93b606e889f7d"),
+    (('binf', 'check', '--table', '@rich', '--budget', '4'), "e67cbce091a8fa59609315b6faf19139a8fa9879cbdd2f5ad144033c18ed788f"),
+    (('binf', 'check', '--table', '@rich', '--budget', '4', '--json'), "311a3dbf3bb7fcb16519af2dc9f6c8551607a6563c54c6be37fad232b9a5a403"),
+    (('binf', 'check', '--table', '@half', '--budget', '3'), "e67cbce091a8fa59609315b6faf19139a8fa9879cbdd2f5ad144033c18ed788f"),
+    (('binf', 'check', '--table', '@half', '--budget', '3', '--json'), "311a3dbf3bb7fcb16519af2dc9f6c8551607a6563c54c6be37fad232b9a5a403"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", OUTPUT_GOLDEN, ids=[" ".join(a) for a, _ in OUTPUT_GOLDEN])
+def test_named_class_conv_and_report_outputs_are_byte_identical(argv, digest, table_paths, capsys):
+    assert main([table_paths.get(a, a) for a in argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- the tensor and table parsers under mutation --------------------------------
 
 FUZZ_TENSORS = ["2 + 1/2*a.b + -3*b.a.c", "a.b.a.a.b", "-5/6*b.a + a", "1", "x1.x2.x1 + -1/3*x3"]
@@ -1191,3 +1239,94 @@ print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+# -- every leaf subcommand: pinned outputs, and a closed stdout ------------------
+
+
+def _leaves(parser, path):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name, child in subs[0].choices.items() for leaf in _leaves(child, path + (name,))]
+
+
+# every leaf subcommand as its path of names, walked from the parser of each command
+LEAVES = [
+    leaf
+    for name in _COMMANDS
+    for action in build_parser([name])._actions if isinstance(action, argparse._SubParsersAction)
+    for leaf in _leaves(action.choices[name], (name,))
+]
+
+
+def pinned_runs():
+    """The argv of every run whose stdout a table above pins by digest."""
+    runs = [a.split() for a, _ in DESC_GOLDEN] + [a.split() for a, _, _ in SLOW_WORD_GOLDEN]
+    runs += [list(a) for a, _ in WORD_GOLDEN + OUTPUT_GOLDEN] + [list(a) for a, _, _ in COMMAND_SMOKE]
+    runs += [["topo", cmd, text, *flags] for text, _, _ in TOPO_GOLDEN
+             for cmd in TOPO_COMMANDS for flags in ([], ["--json"])]
+    runs += [["topo", "delta2", L7_TEXT, *flags] for flags, _ in SLOW_TOPO_GOLDEN]
+    runs += [["topo", cmd, text, *flags] for text, _ in PI_GOLDEN for cmd, flags in PI_RUNS]
+    return runs
+
+
+def test_every_leaf_subcommand_has_a_pinned_text_and_json_output():
+    assert len(LEAVES) == 22
+    pinned = {(leaf, "--json" in argv) for argv in pinned_runs()
+              for leaf in LEAVES if tuple(argv[:len(leaf)]) == leaf}
+    assert {(leaf, as_json) for leaf in LEAVES for as_json in (False, True)} - pinned == set()
+
+
+CANON_ROW = next(row for row in BOUNDS if row.name == "CANON_BOUND")
+# one run of each leaf subcommand, with a wall-clock budget that includes
+# process start; desc solomon 7 --json (234 KB) and the CANON_BOUND row's
+# worst input (131 KB) are the largest outputs known.
+CLOSED_STDOUT_RUNS = {
+    ("shuffle",): (("shuffle", "a.b.c", "d.e"), 1.0),
+    ("qshuffle",): (("qshuffle", "--table", "@qs", "x1.x2", "x1"), 1.0),
+    ("binf", "prod"): (("binf", "prod", "a.b", "c", "--json"), 1.0),
+    ("binf", "check"): (("binf", "check", "--alphabet", "a,b"), 1.0),
+    ("eulerian",): (("eulerian", "a.b.c.d.e"), 1.0),
+    ("varpi",): (("varpi", "--table", "@qs", "x1.x2"), 1.0),
+    ("hoffman",): (("hoffman", "exp", "--table", "@qs", "x1.x2"), 1.0),
+    ("omega",): (("omega", "a.b + b"), 1.0),
+    ("zeta",): (("zeta", "a.b.c", "--json"), 1.0),
+    ("desc", "dynkin"): (("desc", "dynkin", "7"), 1.0),
+    ("desc", "solomon"): (("desc", "solomon", "7", "--json"), 1.0),
+    ("desc", "conv"): (("desc", "conv", "1 2", "1"), 1.0),
+    ("desc", "check"): (("desc", "check", "3", "--json"), 1.0),
+    ("topo", "delta"): (("topo", "delta", "4; 1<2"), 1.0),
+    ("topo", "delta2"): (("topo", "delta2", "4; 1<2", "--json"), 1.0),
+    ("topo", "pi"): (("topo", "pi", "3; 1<2"), 1.0),
+    ("topo", "upsilon"): (("topo", "upsilon", "3; 1<3, 2<3", "--json"), 1.0),
+    ("topo", "lambda"): (("topo", "lambda", "2; 1<2"), 1.0),
+    ("topo", "eulerian"): (("topo", "eulerian", "4; 1<2, 1<3, 1<4"), 1.0),
+    ("topo", "pieul"): (CANON_ROW.worst[2:], CANON_ROW.budget),
+    ("topo", "ladder"): (("topo", "ladder", "3", "--json"), 1.0),
+    ("topo", "corolla"): (("topo", "corolla", "4"), 1.0),
+}
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+def test_a_closed_stdout_exits_1_quietly(leaf, table_paths):
+    # the read end is closed before the child starts, so its first write fails
+    argv, budget = CLOSED_STDOUT_RUNS[leaf]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    t0 = time.monotonic()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gebra", *[table_paths.get(a, a) for a in argv]],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert time.monotonic() - t0 < budget
+
+
+def test_main_with_a_closed_stdout_returns_1():
+    out, err = io.StringIO(), io.StringIO()
+    out.close()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["desc", "dynkin", "3"]) == 1
+    assert err.getvalue() == ""

@@ -55,6 +55,28 @@ def test_scalar_div_zero_divisor():
         scalar_div(Fraction(1), Fraction(0))
 
 
+def _float_in_a_bracket_table():
+    from gebra.binfty import BInftyStructure
+
+    alphabet = Alphabet("a, b")
+    a, b = alphabet.word("a"), alphabet.word("b")
+    return BInftyStructure.explicit(alphabet, {(a, a): {b: 0.1}})
+
+
+# 0.1 as a Fraction is 3602879701896397/36028797018963968, not 1/10
+@pytest.mark.parametrize("build", [
+    lambda: LinComb({"a": 0.1}),
+    lambda: Poly({0: 0.1}),
+    lambda: LinComb.single("a").scale(0.1),
+    _float_in_a_bracket_table,
+    lambda: Poly.x_power(1)(0.1),
+    lambda: scalar_div(1, 0.1),
+], ids=["LinComb", "Poly", "LinComb.scale", "bracket table value", "Poly value", "scalar_div"])
+def test_a_float_coefficient_is_refused(build):
+    with pytest.raises(InputError, match="float coefficient 0.1"):
+        build()
+
+
 def test_poly_str_is_descending():
     p = Poly({2: Fraction(6), 1: Fraction(6), 0: Fraction(1)})
     assert str(p) == "6X^2+6X+1"
