@@ -1272,7 +1272,6 @@ def pinned_runs():
 
 
 def test_every_leaf_subcommand_has_a_pinned_text_and_json_output():
-    assert len(LEAVES) == 22
     pinned = {(leaf, "--json" in argv) for argv in pinned_runs()
               for leaf in LEAVES if tuple(argv[:len(leaf)]) == leaf}
     assert {(leaf, as_json) for leaf in LEAVES for as_json in (False, True)} - pinned == set()
@@ -1306,6 +1305,10 @@ CLOSED_STDOUT_RUNS = {
     ("topo", "ladder"): (("topo", "ladder", "3", "--json"), 1.0),
     ("topo", "corolla"): (("topo", "corolla", "4"), 1.0),
 }
+
+
+def test_every_leaf_subcommand_has_a_closed_stdout_run():
+    assert sorted(LEAVES) == sorted(CLOSED_STDOUT_RUNS)
 
 
 @pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
