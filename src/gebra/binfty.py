@@ -52,7 +52,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .exactlin import (
-    InputError, LinComb, SizeBoundError, as_int, lin_sum, parse_ints, reduced, term_sum,
+    InputError, LinComb, SizeBoundError, as_int, lin_sum, parse_ints, prefixed, reduced, term_sum,
 )
 from .words import (
     Alphabet,
@@ -64,7 +64,6 @@ from .words import (
     infer_alphabet,
     parse_tensor,
     parse_word,
-    prefixed,
     same_alphabet,
     word_comb,
 )

@@ -14,27 +14,28 @@ violation.
 Integer arguments are read by exactlin.parse_ints; without --alphabet or
 --table, words.infer_alphabet finds the letters, as for table files.
 
-A process executes only the layers its command uses.  binfty, idem,
-descent and topo are registered in sys.modules through
+A process executes only the layers its command uses.  words, binfty,
+idem, descent and topo are registered in sys.modules through
 importlib.util.LazyLoader, so each module body runs on its first
 attribute access, and the commands reach them as module attributes
-(descent.dynkin, never a name imported from them).  build_parser
-registers every command with its help text but builds the arguments and
-subcommands of the invoked one only; a `desc` process thus runs exactlin,
-words, descent and cli, and never reads binfty's mode table.
+(descent.dynkin, words.parse_word, never a name imported from them).
+build_parser registers every command with its help text but builds the
+arguments and subcommands of the invoked one only; a `desc` process thus
+runs exactlin, descent and cli, a `topo` process exactlin, topo and cli,
+and neither reads binfty's mode table.  json is imported only to write
+--json output.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
-from fractions import Fraction
 
-from .exactlin import AlgebraError, InputError, LinComb, Poly, SizeBoundError, format_terms, parse_ints
-from .words import Alphabet, infer_alphabet, parse_tensor, parse_word
+from .exactlin import (
+    AlgebraError, Fraction, InputError, LinComb, Poly, SizeBoundError, format_terms, parse_ints,
+)
 
 
 def _lazy_layer(name):
@@ -55,6 +56,7 @@ def _lazy_layer(name):
     return module
 
 
+words = _lazy_layer("words")
 binfty = _lazy_layer("binfty")
 idem = _lazy_layer("idem")
 descent = _lazy_layer("descent")
@@ -67,23 +69,24 @@ topo = _lazy_layer("topo")
 def _render(out, args):
     """The output of every command: its result out as text, or as JSON with --json.
 
-    out is a pass/fail report (a dict), a LinComb (the keys of a topo
-    command print through topo.render_basis), a Poly, a scalar, or the one
-    class of topo ladder|corolla, which prints with its short name.
+    out is a pass/fail report (a dict), a Poly, a LinComb (the keys of a topo
+    command print through topo.render_basis), a scalar, or the one class of
+    topo ladder|corolla, which prints with its short name.  Only the JSON
+    outputs import json.
     """
+    named = {}
     if isinstance(out, dict):
-        if args.json:
-            return json.dumps(out)
-        return "\n".join(f"{key}: {'pass' if ok else 'fail'}" for key, ok in out.items())
-    if isinstance(out, LinComb):
-        render = topo.render_basis if args.cmd == "topo" else str
         if not args.json:
-            return format_terms(out, render)
-        terms = ((render(k), c) for k, c in out.items())
+            return "\n".join(f"{key}: {'pass' if ok else 'fail'}" for key, ok in out.items())
     elif isinstance(out, Poly):
         if not args.json:
             return str(out)
         terms = out.listing()
+    elif isinstance(out, LinComb):
+        render = topo.render_basis if args.cmd == "topo" else str
+        if not args.json:
+            return format_terms(out, render)
+        terms = [(render(k), c) for k, c in out.items()]
     elif isinstance(out, Fraction):
         if not args.json:
             return str(out)
@@ -92,8 +95,11 @@ def _render(out, args):
         text, name = str(out), topo.topo_name(out)
         if not args.json:
             return f"{text} ({name})" if name else text
-        return json.dumps({"terms": [{"coeff": "1", "basis": text}], "name": name})
-    return json.dumps({"terms": [{"coeff": str(c), "basis": basis} for basis, c in terms]})
+        terms, named = [(text, 1)], {"name": name}
+    import json
+
+    return json.dumps(out if isinstance(out, dict) else
+                      {"terms": [{"coeff": str(c), "basis": basis} for basis, c in terms], **named})
 
 
 # -- structure resolution -----------------------------------------------------
@@ -104,7 +110,7 @@ def _structure(args, texts):
     table = getattr(args, "table", None)
     mode = getattr(args, "mode", None)
     alphabet_spec = getattr(args, "alphabet", None)
-    alphabet = Alphabet(alphabet_spec) if alphabet_spec else None
+    alphabet = words.Alphabet(alphabet_spec) if alphabet_spec else None
     if table:
         try:
             with open(table, "r", encoding="utf-8") as fh:
@@ -117,7 +123,7 @@ def _structure(args, texts):
         return B
     if mode and binfty.MODE_NAMES[mode][0] != binfty.SHUFFLE:
         raise InputError(f"mode {mode!r} needs --table")
-    return binfty.BInftyStructure.shuffle(alphabet or infer_alphabet(texts))
+    return binfty.BInftyStructure.shuffle(alphabet or words.infer_alphabet(texts))
 
 
 # -- word-side commands -------------------------------------------------------
@@ -129,14 +135,14 @@ def cmd_product(args):
     B = _structure(args, [args.word, args.word2])
     if args.cmd == "qshuffle" and B.mode != binfty.QUASI_SHUFFLE:
         raise InputError("qshuffle needs a quasi_shuffle table (mode: qshuffle)")
-    w, w2 = (parse_word(text, B.alphabet) for text in (args.word, args.word2))
+    w, w2 = (words.parse_word(text, B.alphabet) for text in (args.word, args.word2))
     return binfty.induced_product(B, w, w2)
 
 
 def cmd_hoffman(args):
     B = _structure(args, [args.word])
     fn = idem.hoffman_log if args.which == "log" else idem.hoffman_exp
-    return fn(B, parse_word(args.word, B.alphabet))
+    return fn(B, words.parse_word(args.word, B.alphabet))
 
 
 # -- parser -------------------------------------------------------------------
@@ -165,11 +171,11 @@ def _word_command(op, positional):
     """Builder of a word command: --json, the structure options, then one
     positional, a word ("word") or a tensor ("expr"), read over the
     alphabet of the structure B; the result is idem.<op>(B, value)."""
-    read = parse_word if positional == "word" else parse_tensor
 
     def run(args):
         text = getattr(args, positional)
         B = _structure(args, [text])
+        read = words.parse_word if positional == "word" else words.parse_tensor
         return getattr(idem, op)(B, read(text, B.alphabet))
 
     def build(sub, name, help_text):

@@ -3,6 +3,8 @@
 Permutations act on words by place permutation, sigma(y1...yn) being the
 word y_sigma(1)...y_sigma(n), so a group algebra element acting on the
 multilinear word x1...xn is read off directly from one-line notation.  The
+layer imports only exactlin: a permuted word is built by the type of the
+word it permutes, so words.Word is never named here.  The
 convolution product of two elements splits the positions into a shuffle,
 acts on each part, and concatenates; the span of the descent sums De is
 closed under it.
@@ -34,10 +36,9 @@ from math import comb, lcm
 from operator import gt
 
 from .exactlin import (
-    Fraction, InputError, LinComb, SizeBoundError, as_int, format_terms, lin_sum,
-    parse_ints, parse_terms, term_sum,
+    Fraction, InputError, LinComb, SizeBoundError, as_int, compositions, format_terms, lin_sum,
+    parse_ints, parse_terms, prefixed, term_sum,
 )
-from .words import Word, compositions, prefixed
 
 DEGREE_BOUND = 7
 
@@ -101,7 +102,7 @@ class Permutation:
         """Place permutation on a word of the same length."""
         if len(w) != self.n:
             raise InputError(f"length mismatch: word of length {len(w)}, degree {self.n}")
-        return Word(w.alphabet, tuple(w.idx[v - 1] for v in self.images))
+        return type(w)(w.alphabet, tuple(w.idx[v - 1] for v in self.images))
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -351,7 +352,7 @@ def solomon_log_oracle(n):
 
 def act_on_tensor(g, x):
     """Apply a group algebra element to words, all of length n, linearly."""
-    if isinstance(x, Word):
+    if not isinstance(x, LinComb):
         x = LinComb.single(x)
     return lin_sum((c, x.map_keys(p.act)) for p, c in g.terms.items())
 

@@ -1,13 +1,17 @@
-"""Exact rational scalars, one-variable polynomials, and linear combinations.
+"""Exact rational scalars, linear combinations, and one-variable polynomials.
 
 Substrate for the whole library: every structure downstream stores its
-coefficients in the types defined here.  All arithmetic is exact; floats do
-not appear anywhere: as_scalar, the one coercion of a coefficient that is not
-already a Fraction, refuses them.
+coefficients in the types defined here, and descent and topo need no other
+layer.  All arithmetic is exact; floats do not appear anywhere: as_scalar,
+the one coercion of a coefficient that is not already a Fraction, refuses
+them.  LinComb is the one combination carrier; Poly is a LinComb keyed by
+exponents that adds only the product, evaluation and integration.
 
 Every sum of combinations in the library goes through term_sum (lin_sum
-wraps it), with no exception: Poly and LinComb arithmetic here, and the
-folds of words, binfty, descent and topo.
+wraps it), with no exception: LinComb arithmetic and the Poly product here,
+and the folds of words, binfty, descent and topo.  prefixed feeds term_sum
+the terms of a tuple-keyed dict shifted by a prefix, and compositions lists
+the compositions of n that descent and topo sum over.
 
 The shared text readers live here too.  parse_ints is the one reader of
 integer text, ASCII digits with an optional sign: it refuses the digit
@@ -19,6 +23,7 @@ parse_terms reads the "c*key + key" term lists of words and descent.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import index
 
 
@@ -121,121 +126,16 @@ def scalar_div(a, b):
     return as_scalar(a) / b
 
 
-class Poly:
-    """Polynomial in one variable X with Fraction coefficients.
-
-    Stored as a map exponent -> coefficient with no zero entries.  The text
-    form lists terms by descending exponent, e.g. "6X^2+6X+1".
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                k = as_int(k, "exponent")
-                if k < 0:
-                    raise InputError(f"negative exponent {k} in polynomial")
-                if type(c) is not Fraction:
-                    c = as_scalar(c)
-                if c:
-                    clean[k] = c
-        self.coeffs = clean
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
-    def x_power(cls, k, c=1):
-        return cls({k: c})
-
-    def degree(self):
-        """Maximal stored exponent, or None for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else None
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly(term_sum(((1, self.coeffs.items()), (1, other.coeffs.items()))))
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly(term_sum(((1, self.coeffs.items()), (-1, other.coeffs.items()))))
-
-    def __neg__(self):
-        return Poly({k: -c for k, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly(term_sum(
-            (c1, ((k1 + k2, c2) for k2, c2 in other.coeffs.items()))
-            for k1, c1 in self.coeffs.items()
-        ))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        if type(c) is not Fraction:
-            c = as_scalar(c)
-        return Poly({k: c * v for k, v in self.coeffs.items()})
-
-    def __call__(self, t):
-        t = as_scalar(t)
-        return sum((c * t**k for k, c in self.coeffs.items()), ZERO)
-
-    def integrate_unit_interval(self):
-        """Exact integral over [-1, 0]: the X^k term contributes (-1)^k/(k+1)."""
-        total = ZERO
-        for k, c in self.coeffs.items():
-            total += c * Fraction((-1) ** k, k + 1)
-        return total
-
-    def listing(self):
-        """The (basis, coefficient) pairs by descending exponent, the basis
-        written "1", "X" or "X^k": the order and names of every printed form."""
-        return [
-            ("1" if k == 0 else "X" if k == 1 else f"X^{k}", self.coeffs[k])
-            for k in sorted(self.coeffs, reverse=True)
-        ]
-
-    def __str__(self):
-        out = ""
-        for basis, c in self.listing():
-            if basis == "1":
-                part = str(c)
-            else:
-                part = ("" if c == 1 else "-" if c == -1 else str(c)) + basis
-            out += part if not out or part.startswith("-") else "+" + part
-        return out or "0"
-
-    def __repr__(self):
-        return f"Poly({self.coeffs!r})"
-
-
 class LinComb:
     """Finite linear combination over an ordered family of basis keys.
 
     Keys must be hashable and mutually comparable; iteration is always in
     sorted key order so that printing is deterministic.  Every stored
-    coefficient is a nonzero Fraction, which is why +, -, map_keys and
-    tensor_pair may wrap their term_sum results with trusted.
+    coefficient is a nonzero Fraction, which is why +, -, negation, map_keys
+    and tensor_pair may wrap their results with trusted.  Sums, differences,
+    negatives and multiples are of the type of the left operand, so that a
+    subclass keyed by a basis of its own (Poly) keeps its type; such a
+    subclass adds and subtracts only its own kind.
     """
 
     __slots__ = ("terms",)
@@ -287,17 +187,17 @@ class LinComb:
         return self.terms == other.terms
 
     def __add__(self, other):
-        if not isinstance(other, LinComb):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return LinComb.trusted(term_sum(((1, self.terms.items()), (1, other.terms.items()))))
+        return self.trusted(term_sum(((1, self.terms.items()), (1, other.terms.items()))))
 
     def __sub__(self, other):
-        if not isinstance(other, LinComb):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return LinComb.trusted(term_sum(((1, self.terms.items()), (-1, other.terms.items()))))
+        return self.trusted(term_sum(((1, self.terms.items()), (-1, other.terms.items()))))
 
     def __neg__(self):
-        return LinComb({k: -c for k, c in self.terms.items()})
+        return self.trusted({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -309,7 +209,7 @@ class LinComb:
     def scale(self, c):
         if type(c) is not Fraction:
             c = as_scalar(c)
-        return LinComb({k: c * v for k, v in self.terms.items()})
+        return type(self)({k: c * v for k, v in self.terms.items()})
 
     def apply(self, f):
         """Linear extension: sum of coeff * f(key), f returning a LinComb."""
@@ -321,6 +221,78 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self.terms!r})"
+
+
+class Poly(LinComb):
+    """Polynomial in one variable X with Fraction coefficients.
+
+    A LinComb keyed by exponents, so its sums, differences, negation and
+    scaling are LinComb's; the product, evaluation and integration are its
+    own.  The text form lists terms by descending exponent, e.g. "6X^2+6X+1".
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        terms = {}
+        for k, c in (coeffs or {}).items():
+            k = as_int(k, "exponent")
+            if k < 0:
+                raise InputError(f"negative exponent {k} in polynomial")
+            terms[k] = c
+        super().__init__(terms)
+
+    @classmethod
+    def const(cls, c):
+        return cls({0: c})
+
+    @classmethod
+    def x_power(cls, k, c=1):
+        return cls({k: c})
+
+    def degree(self):
+        """Maximal stored exponent, or None for the zero polynomial."""
+        return max(self.terms) if self.terms else None
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return super().__mul__(other)
+        return Poly(term_sum(
+            (c1, ((k1 + k2, c2) for k2, c2 in other.terms.items()))
+            for k1, c1 in self.terms.items()
+        ))
+
+    def __call__(self, t):
+        t = as_scalar(t)
+        return sum((c * t**k for k, c in self.terms.items()), ZERO)
+
+    def integrate_unit_interval(self):
+        """Exact integral over [-1, 0]: the X^k term contributes (-1)^k/(k+1)."""
+        total = ZERO
+        for k, c in self.terms.items():
+            total += c * Fraction((-1) ** k, k + 1)
+        return total
+
+    def listing(self):
+        """The (basis, coefficient) pairs by descending exponent, the basis
+        written "1", "X" or "X^k": the order and names of every printed form."""
+        return [
+            ("1" if k == 0 else "X" if k == 1 else f"X^{k}", self.terms[k])
+            for k in sorted(self.terms, reverse=True)
+        ]
+
+    def __str__(self):
+        out = ""
+        for basis, c in self.listing():
+            if basis == "1":
+                part = str(c)
+            else:
+                part = ("" if c == 1 else "-" if c == -1 else str(c)) + basis
+            out += part if not out or part.startswith("-") else "+" + part
+        return out or "0"
+
+    def __repr__(self):
+        return f"Poly({self.terms!r})"
 
 
 def term_sum(pairs):
@@ -360,6 +332,23 @@ def lin_sum(pairs):
 def reduced(c):
     """An exact scalar as an int when it is integral, else as a Fraction."""
     return c.numerator if c.denominator == 1 else c
+
+
+def prefixed(u, x):
+    """The terms of x, keyed by tuples, with the tuple u concatenated in front."""
+    return zip(map(u.__add__, x), x.values())
+
+
+def compositions(n):
+    """All compositions of n, by length then lexicographically."""
+    n = as_int(n, "composition size")
+    if n == 0:
+        yield ()
+        return
+    for k in range(1, n + 1):
+        for cuts in combinations(range(1, n), k - 1):
+            bounds = (0,) + cuts + (n,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def tensor_pair(x, y):

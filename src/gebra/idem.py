@@ -37,14 +37,13 @@ from itertools import permutations
 from math import comb, factorial, lcm
 from operator import gt
 
-from .exactlin import Fraction, InputError, LinComb, SizeBoundError, as_int, reduced, term_sum
+from .exactlin import Fraction, InputError, LinComb, SizeBoundError, as_int, prefixed, reduced, term_sum
 from .words import (
     apply_scaled,
     as_tensor,
     check_word_bound,
     lift_comb,
     memo_lift,
-    prefixed,
     structure_endo,
     word_comb,
 )

@@ -37,7 +37,8 @@ CANON_BOUND by _check_canon_bound, in every constructor and parser, in
 open_mask_list and in the two labeled entries ec_partitions and
 closed_form_e; every topology operation goes through a class or one of
 these, so CANON_BOUND bounds them all.  ISO_BOUND is checked by
-all_isoclasses.
+all_isoclasses, and REFERENCE_BOUND, the points the reference routes of
+upsilon, lambda_char and eulerian_e take, by _check_reference_bound.
 """
 
 from __future__ import annotations
@@ -55,14 +56,18 @@ from .exactlin import (
     SizeBoundError,
     ZERO,
     as_int,
+    compositions,
     lin_sum,
     parse_ints,
     term_sum,
 )
-from .words import compositions
 
 CANON_BOUND = 8
 ISO_BOUND = 6
+# The reference routes (method= "surjection_oracle", "delta_series" and
+# "direct") enumerate every surjection or chain of open sets; on the
+# discrete 8-point class they took 11-20 s in process on a 2-vCPU VM.
+REFERENCE_BOUND = 7
 
 
 def _vertex_count(n):
@@ -258,6 +263,12 @@ def _check_canon_bound(n):
     form takes; every class, and so every topology operation, needs one."""
     if n > CANON_BOUND:
         raise SizeBoundError(f"size bound: canonical forms stop at n = {CANON_BOUND}")
+
+
+def _check_reference_bound(tc):
+    """Refuse, before any work, a class past REFERENCE_BOUND for a reference route."""
+    if tc.n > REFERENCE_BOUND:
+        raise SizeBoundError(f"size bound: reference routes stop at n = {REFERENCE_BOUND}")
 
 
 def parse_topology(text):
@@ -839,11 +850,12 @@ def _upsilon_rec(tc):
     for (low, up), c in _Delta_class(tc).terms.items():
         if low.n and low.q.is_equivalence():
             step = 1 if up.n else 0
-            parts.append((c, [(k + step, v) for k, v in _upsilon_rec(up).coeffs.items()]))
+            parts.append((c, [(k + step, v) for k, v in _upsilon_rec(up).terms.items()]))
     return Poly(term_sum(parts))
 
 
 def _upsilon_oracle(tc):
+    _check_reference_bound(tc)
     q = tc.q
     cls = q.classes()
     k = len(cls)
@@ -888,6 +900,7 @@ def _lambda_class(tc):
 
 
 def _lambda_delta_series(tc):
+    _check_reference_bound(tc)
     q = tc.q
     total = ZERO
     for k in range(1, q.n + 1):
@@ -926,6 +939,7 @@ def _e_class(tc):
 
 @cache
 def _e_direct(tc):
+    _check_reference_bound(tc)
     q = tc.q
     return lin_sum(
         (Fraction((-1) ** (k - 1), k), {canonicalize(reduce(QuasiOrder.disjoint_union, tup)): ONE})

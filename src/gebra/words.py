@@ -7,8 +7,10 @@ endomorphism attached to a projection table together with its inverse.
 
 The lifts run on the word-side kernel that binfty and idem share: a word is
 its tuple of letter indices and a combination a plain dict from such tuples
-to int or Fraction coefficients, summed by exactlin.term_sum.  index_terms
-and word_comb convert at the boundary.
+to int or Fraction coefficients, summed by exactlin.term_sum (a prefix is
+put in front of a dict's keys by exactlin.prefixed).  index_terms and
+word_comb convert at the boundary.  The descent and topology layers do not
+import this module.
 
 Text grammar: letters are identifiers joined by ".", the empty word is "1",
 an alphabet is declared as "a:1,b:2" (name:degree), and a linear combination
@@ -34,6 +36,7 @@ from .exactlin import (
     parse_ints,
     parse_scalar,
     parse_terms,
+    prefixed,
     reduced,
     term_sum,
 )
@@ -169,8 +172,7 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise InputError("cannot concatenate words over different alphabets")
+        same_alphabet(self.alphabet, other.alphabet)
         return Word._trusted(self.alphabet, self.idx + other.idx)
 
     def __getitem__(self, sl):
@@ -248,23 +250,6 @@ def alphabet_of(x):
     raise InputError("cannot infer the alphabet of the zero element")
 
 
-def _cuts(n, k):
-    """Cut position tuples splitting [1..n] into k nonempty contiguous blocks."""
-    return combinations(range(1, n), k - 1)
-
-
-def compositions(n):
-    """All compositions of n, by length then lexicographically."""
-    n = as_int(n, "composition size")
-    if n == 0:
-        yield ()
-        return
-    for k in range(1, n + 1):
-        for cuts in _cuts(n, k):
-            bounds = (0,) + cuts + (n,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 def _blocks(w, cuts):
     bounds = (0,) + cuts + (len(w),)
     return tuple(w[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1))
@@ -276,7 +261,7 @@ def block_decompositions(w, k):
     n = len(w)
     if k < 1 or k > n:
         return
-    for cuts in _cuts(n, k):
+    for cuts in combinations(range(1, n), k - 1):
         yield _blocks(w, cuts)
 
 
@@ -430,11 +415,6 @@ def word_comb(alphabet, terms, d):
             c = fractions[v] = Fraction(v, d)
         out[word(alphabet, t)] = c
     return LinComb.trusted(out)
-
-
-def prefixed(u, x):
-    """The terms of x, keyed by index tuples, with u concatenated in front."""
-    return zip(map(u.__add__, x), x.values())
 
 
 def memo_lift(phi):

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -1179,7 +1181,10 @@ finally:
 
 WORD_LAYERS = "binfty cli exactlin words"
 IDEM_LAYERS = "binfty cli exactlin idem words"
-# one cold run per top-level command: (argv, the layers it executes, sha256 of stdout)
+DESC_LAYERS = "cli descent exactlin"
+TOPO_LAYERS = "cli exactlin topo"
+# one cold run per top-level command, and per desc and topo leaf:
+# (argv, the layers it executes, sha256 of stdout)
 COMMAND_SMOKE = [
     (("shuffle", "a.b", "c"), WORD_LAYERS,
      "956a812741e125beca271cfbca5539a4493dd9cfc46e321183fed5dc094fca93"),
@@ -1197,10 +1202,32 @@ COMMAND_SMOKE = [
      "ecfb5603dc13599ea3dd2fc06210a79be1b27c1e2e95d088fc501e0f2dc39f9b"),
     (("zeta", "a.b.c"), IDEM_LAYERS,
      "5509d18a8093bf49f4814cb919b67420450a64de047d36299f597fc6055ff462"),
-    (("desc", "dynkin", "4"), "cli descent exactlin words",
+    (("desc", "dynkin", "4"), DESC_LAYERS,
      "40c934641c29f4a217d5b72c558ec228fee5071696f73d474650ee59d915198d"),
-    (("topo", "pi", "3; 1<2"), "cli exactlin topo words",
+    (("desc", "solomon", "4"), DESC_LAYERS,
+     "7128d671b649ddb1e18e0729fc3b786e97051620ee7aabeff7ce50305f34533b"),
+    (("desc", "conv", "1 2", "2 1"), DESC_LAYERS,
+     "24b99c8eadcd98f1bff83648a27bc0208d1559940e21d3fbf9893083b0ac14a8"),
+    (("desc", "check", "4"), DESC_LAYERS,
+     "e63e47ac8767a8ceb8dd5371859ae189d08b082ad24ca3b8fa1e2b59e7f306f1"),
+    (("topo", "pi", "3; 1<2"), TOPO_LAYERS,
      "92fb43fc9c03b860e53b6aebd6e658697f74359e4a9d8c29f78ec556a52e04df"),
+    (("topo", "delta", "3; 1<2"), TOPO_LAYERS,
+     "d933cf1e0b4ad4820259a54ec28d5de770cd51e67ff6312647b3248364cc661d"),
+    (("topo", "delta2", "3; 1<2"), TOPO_LAYERS,
+     "0e42cc4ba36ac1ad2f412bc3cc9f20cf775ed85cac1c859fcf9b6e5d6d1ce352"),
+    (("topo", "upsilon", "3; 1<3, 2<3"), TOPO_LAYERS,
+     "fb72cc55190f70899cb7b5df7ac910b59f0aab2980c0c7e4f56fcba8a1aef605"),
+    (("topo", "lambda", "3; 1<3, 2<3"), TOPO_LAYERS,
+     "fe461f5bac3c62638a6ca177a19075d65731db94d0e1b93d24af60ab2d9fbb3a"),
+    (("topo", "eulerian", "3; 1<3, 2<3"), TOPO_LAYERS,
+     "bc13763c95d1797963a11214f6575bdd0b0aec4fed0721657d5ca5867a56ce4d"),
+    (("topo", "pieul", "3; 1<3, 2<3"), TOPO_LAYERS,
+     "f649053c4bc2d3025185bdf4218867c892ce9c8cef718162af30f22fe968a98e"),
+    (("topo", "ladder", "4"), TOPO_LAYERS,
+     "fcca8e63e6e9639635aa234b52f8a64213aec040a97bf271f5c483d61f2256a1"),
+    (("topo", "corolla", "4"), TOPO_LAYERS,
+     "cddd9e4e13050db6217a92a837506b63c1d78a8f63eb1cee320aa7e495c4f233"),
 ]
 
 
@@ -1333,3 +1360,75 @@ def test_main_with_a_closed_stdout_returns_1():
     with redirect_stdout(out), redirect_stderr(err):
         assert main(["desc", "dynkin", "3"]) == 1
     assert err.getvalue() == ""
+
+
+# -- every leaf subcommand under a reader that leaves after k bytes ------------
+
+# the closed-stdout run of each leaf, with a small class for topo pieul
+READER_RUNS = {leaf: argv for leaf, (argv, _) in CLOSED_STDOUT_RUNS.items()}
+READER_RUNS[("topo", "pieul")] = ("topo", "pieul", "4; 1<2, 1<3, 1<4")
+# a wall-clock budget per case, process start included; the slowest of a
+# seeded run of 3000 cases, two at a time, took 0.24 s on a 2-vCPU VM
+READER_BUDGET = 1.0
+READER_CHARS = "0123456789abx.,;:<~*/+- "
+PAST_THE_END = 1 << 24
+
+
+def reader_cases(seed, count):
+    """count cases (argv, k), the leaves taken in turn.  k is 0, 1, past the
+    end of any output, or a seeded size in between, so that every leaf meets
+    every kind; about half the cases drop or replace one character of one
+    argument."""
+    rng = random.Random(seed)
+    leaves = sorted(READER_RUNS)
+    for i in range(count):
+        argv = list(READER_RUNS[leaves[i % len(leaves)]])
+        if rng.random() < 0.5:
+            j = rng.randrange(len(argv))
+            chars = list(argv[j])
+            p = rng.randrange(len(chars))
+            if rng.random() < 0.5:
+                del chars[p]
+            else:
+                chars[p] = rng.choice(READER_CHARS)
+            argv[j] = "".join(chars)
+        k = (0, 1, PAST_THE_END, rng.randrange(2, 4096))[(i + i // len(leaves)) % 4]
+        yield argv, k
+
+
+def run_with_reader(argv, k, table_paths):
+    """Run gebra on argv, read k bytes of its stdout, close the pipe, and
+    return (exit code, stderr, seconds); a case past 5x the budget is killed."""
+    t0 = time.monotonic()
+    proc = subprocess.Popen([sys.executable, "-m", "gebra", *[table_paths.get(a, a) for a in argv]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    killer = threading.Timer(5 * READER_BUDGET, proc.kill)
+    killer.start()
+    try:
+        proc.stdout.read(k)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait()
+    finally:
+        killer.cancel()
+    return code, err, time.monotonic() - t0
+
+
+@pytest.mark.parametrize("argv,k", list(reader_cases(29, len(LEAVES))),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_a_reader_that_leaves_after_k_bytes_gets_a_documented_ending(argv, k, table_paths):
+    code, err, elapsed = run_with_reader(argv, k, table_paths)
+    assert code in (0, 1, 2, 3), err
+    assert b"Traceback" not in err
+    if code in (0, 1):
+        assert err == b""
+    assert elapsed < READER_BUDGET
+
+
+def test_the_reader_cases_walk_every_leaf_and_every_kind_of_k():
+    # one case per leaf, in turn; k takes every kind among them
+    cases = list(reader_cases(29, len(LEAVES)))
+    assert sorted(READER_RUNS) == sorted(LEAVES)
+    assert {0, 1, PAST_THE_END} <= {k for _, k in cases}
+    assert any(tuple(argv) not in READER_RUNS.values() for argv, _ in cases)

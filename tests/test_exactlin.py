@@ -85,6 +85,18 @@ def test_poly_str_is_descending():
     assert str(Poly.x_power(2, 2) - Poly.x_power(1)) == "2X^2-X"
 
 
+def test_poly_arithmetic_keeps_its_type_and_adds_only_polys():
+    p = Poly({2: 6, 0: 1})
+    for x in (p + p, p - p, -p, 2 * p, p * 3, p.scale(Fraction(1, 2)), p * p):
+        assert type(x) is Poly
+    # a Poly is a LinComb keyed by exponents: equal to one with its terms
+    assert p == LinComb({2: 6, 0: 1})
+    with pytest.raises(TypeError):
+        p + LinComb({"a": 1})
+    with pytest.raises(TypeError):
+        p - LinComb({"a": 1})
+
+
 def test_poly_rejects_negative_exponent():
     with pytest.raises(InputError, match="negative exponent"):
         Poly({-1: Fraction(1)})
@@ -238,9 +250,9 @@ FRACTION_CASES = {
     "LinComb-": lambda: (LinComb({"a": 1}) - LinComb({"b": 3})).terms.values(),
     "map_keys": lambda: LinComb({"a": 1, "b": 3, "cd": 2}).map_keys(len).terms.values(),
     "tensor_pair": lambda: tensor_pair(LinComb({"a": 1}), LinComb({"b": 2, "c": 1})).terms.values(),
-    "Poly+": lambda: (Poly({0: 1, 1: 2}) + Poly({1: 1})).coeffs.values(),
-    "Poly-": lambda: (Poly({0: 1}) - Poly({2: 1})).coeffs.values(),
-    "Poly*": lambda: (Poly({0: 1, 1: 1}) * Poly({0: 1, 1: -1})).coeffs.values(),
+    "Poly+": lambda: (Poly({0: 1, 1: 2}) + Poly({1: 1})).terms.values(),
+    "Poly-": lambda: (Poly({0: 1}) - Poly({2: 1})).terms.values(),
+    "Poly*": lambda: (Poly({0: 1, 1: 1}) * Poly({0: 1, 1: -1})).terms.values(),
     "parse_tensor": lambda: parse_tensor("a + 2*b + a + 1", Alphabet("a,b")).terms.values(),
 }
 

@@ -691,7 +691,7 @@ def test_upsilon_of_discretes_counts_surjections():
     for n in range(1, 6):
         got = upsilon(discrete(n))
         for k in range(n):
-            assert got.coeffs.get(k, 0) == surjection_count(n, k)
+            assert got.terms.get(k, 0) == surjection_count(n, k)
 
 
 def test_surjection_counts():
@@ -1155,6 +1155,17 @@ def test_size_bounds_are_checked_before_the_memos():
     for fn, arg in refused:
         with pytest.raises(SizeBoundError, match="size bound"):
             fn(arg)
+
+
+def test_the_reference_routes_refuse_a_class_past_their_bound_at_once():
+    past = discrete(topo.REFERENCE_BOUND + 1)
+    for route in (lambda: upsilon(past, method="surjection_oracle"),
+                  lambda: lambda_char(past, method="delta_series"),
+                  lambda: eulerian_e(LinComb.single(past), method="direct")):
+        t0 = time.perf_counter()
+        with pytest.raises(SizeBoundError, match="reference routes stop at n = 7"):
+            route()
+        assert time.perf_counter() - t0 < 1.0
 
 
 # -- the topology parsers under mutation -----------------------------------------
