@@ -13,8 +13,10 @@ The product is computed by recursion over the first cut of each factor,
 bracket's support.  It runs on the word-side kernel: a word is its tuple of
 letter indices, a combination is a plain dict from such tuples to int or
 Fraction coefficients summed by exactlin.term_sum, and the bracket is read
-from `brackets`, an index-keyed copy of the table built once with the
-structure.  The products of suffix pairs are memoized in a dict that lives
+from `brackets`, the structure's one copy of its table, keyed by index
+tuples and built once from the table it was given (a quasi-shuffle's
+`x * y = z` is its letter-pair bracket, and letter_product reads it back).
+The products of suffix pairs are memoized in a dict that lives
 for one induced_product or check_axioms call; no product is kept on the
 structure between calls.  What the structure does keep, `letter_maps`, is
 gebra.idem's letter-valued varpi and zeta, a combination of letters per
@@ -87,9 +89,7 @@ MODE_NAMES = {
 class BInftyStructure:
     """A bracket <-,->: T(V) x T(V) -> V presented by mode and table."""
 
-    __slots__ = (
-        "alphabet", "mode", "mult", "table", "bound", "support", "brackets", "letter_maps"
-    )
+    __slots__ = ("alphabet", "mode", "bound", "support", "brackets", "letter_maps")
 
     def __init__(self, alphabet, mode, mult=None, table=None, bound=None):
         try:
@@ -98,11 +98,10 @@ class BInftyStructure:
             raise InputError(f"unknown mode {mode!r}") from None
         self.alphabet = alphabet
         self.mode = mode
-        self.mult = None
-        self.table = None
         self.bound = None
-        # The nonzero brackets of nonempty words for the kernel, keyed by
-        # pairs of index tuples, each a tuple of (letter tuple, coefficient).
+        # The nonzero brackets of nonempty words, the structure's one copy of
+        # its table: keyed by pairs of index tuples, each a tuple of
+        # (letter tuple, coefficient).
         self.brackets = {}
         # Letter-valued maps that depend only on the structure, filled by
         # gebra.idem (|w|! varpi(w) and |w|! zeta(w) by index tuple) and
@@ -111,21 +110,17 @@ class BInftyStructure:
         if mode == QUASI_SHUFFLE:
             if mult is None:
                 raise InputError("quasi_shuffle mode needs a multiplication table")
-            self.mult = dict(mult)
             for a in alphabet.letters:
                 for b in alphabet.letters:
-                    if (a, b) not in self.mult:
+                    if (a, b) not in mult:
                         raise InputError(
                             f"multiplication table is not total: missing {a} * {b}"
                         )
-            for (a, b), c in self.mult.items():
-                alphabet.index(a), alphabet.index(b), alphabet.index(c)
-            letters = range(len(alphabet))
+            index = alphabet.index
             self.brackets = {
-                ((i,), (j,)): (((self.letter_product(i, j),), 1),) for i in letters for j in letters
+                ((index(a),), (index(b),)): (((index(c),), 1),) for (a, b), c in mult.items()
             }
         elif mode == EXPLICIT:
-            clean = {}
             top = 1
             for (w, w2), val in (table or {}).items():
                 if w.is_empty() or w2.is_empty():
@@ -135,15 +130,11 @@ class BInftyStructure:
                 )
                 top = max(top, len(w), len(w2))
                 if val:
-                    clean[(w, w2)] = val
-            self.table = clean
+                    terms = val.terms.items()
+                    self.brackets[w.idx, w2.idx] = tuple((u.idx, reduced(c)) for u, c in terms)
             self.bound = top if bound is None else as_int(bound, "table bound")
             if self.bound < top:
                 raise InputError("declared bound is smaller than the stored table")
-            self.brackets = {
-                (w.idx, w2.idx): tuple((u.idx, reduced(c)) for u, c in val.terms.items())
-                for (w, w2), val in clean.items()
-            }
 
     @classmethod
     def shuffle(cls, alphabet):
@@ -158,10 +149,9 @@ class BInftyStructure:
         return cls(alphabet, EXPLICIT, table=table, bound=bound)
 
     def letter_product(self, i, j):
-        """The semigroup product of two letters, as a letter index."""
-        a = self.alphabet.letters[i]
-        b = self.alphabet.letters[j]
-        return self.alphabet.index(self.mult[(a, b)])
+        """The semigroup product of two letter indices, as a letter index."""
+        (((k,), _),) = self.brackets[(i,), (j,)]
+        return k
 
     def bracket(self, w, w2):
         """Evaluate the bracket on a pair of words: the unit rules, then the

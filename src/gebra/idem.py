@@ -4,10 +4,12 @@ For a commutative B-infinity structure the canonical idempotent e acts on a
 word by the alternating sum over its block decompositions of the induced
 products of the blocks; composing with the projection onto V gives the
 canonical tangent-to-identity map varpi.  Lifting varpi through the cofree
-coalgebra yields a Hopf isomorphism omega onto the shuffle algebra, whose
-inverse zeta admits both a direct recursion and the generic inverse of the
-coalgebra endomorphism.  For quasi-shuffle structures both specialize to
-Hoffman's logarithm and exponential in closed form.
+coalgebra (words.memo_lift, the one route to omega) yields a Hopf
+isomorphism omega onto the shuffle algebra, whose inverse zeta admits both a
+direct recursion and the generic inverse of the coalgebra endomorphism.  For
+quasi-shuffle structures both specialize to Hoffman's logarithm and
+exponential in closed form.  Another tangent-to-identity map E lifts the
+same way, as words.structure_endo of the letter part of E.
 
 None of the sums over the 2^(n-1) block decompositions is enumerated.  For
 the shuffle product e is read off in closed form: it is the first Eulerian
@@ -32,26 +34,14 @@ forms stay apart as the independent check on the quasi-shuffle case.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations
 from math import comb, factorial, lcm
 from operator import gt
 
-from .exactlin import Fraction, InputError, LinComb, SizeBoundError, as_int, prefixed, reduced, term_sum
-from .words import (
-    apply_scaled,
-    as_tensor,
-    check_word_bound,
-    lift_comb,
-    memo_lift,
-    structure_endo,
-    word_comb,
-)
-from .binfty import QUASI_SHUFFLE, SHUFFLE, BInftyStructure, induced_product, product_terms
-
-
-def _letter_part(x):
-    return LinComb({u: c for u, c in x.terms.items() if len(u) == 1})
+from .exactlin import Fraction, InputError, LinComb, prefixed, reduced, term_sum
+from .words import Word, apply_scaled, as_tensor, lift_comb, memo_lift, word_comb
+from .binfty import QUASI_SHUFFLE, SHUFFLE, product_terms
 
 
 def _left_fold_sum(B, w, coeffs, memo, maxlen=None):
@@ -202,105 +192,16 @@ def varpi(B, x):
     return lift_comb(_scaled_varpi(B), *B.index_terms(x))
 
 
-# A tangent table lists, and verify checks, every nonempty word up to its
-# bound.  tangent_table_size weighs a word of length L by L!, the terms of
-# e(w) on distinct shuffle letters; heavier bounds are refused.  Slowest
-# known inside: 14 letters at bound 3 (16870) on x_i * x_j = x_min(i+j, 14),
-# eulerian_tangent then verify, 1.8 s as a process on a 2-vCPU VM; 3 letters
-# at bound 5 (31287) took 2.8 s and 8 letters at bound 4 (101512) 15 s.
-TANGENT_TABLE_BOUND = 20000
-
-
-def tangent_table_size(letters, bound):
-    """The weight of a tangent table: the sum over the nonempty words up to
-    bound of |w|!."""
-    return sum(letters**L * factorial(L) for L in range(1, bound + 1))
-
-
-def _check_tangent_bound(alphabet, bound):
-    """bound as an int, refused before any word is listed when the table
-    would weigh more than TANGENT_TABLE_BOUND."""
-    bound = as_int(bound, "table bound")
-    size = tangent_table_size(len(alphabet.letters), bound)
-    if size > TANGENT_TABLE_BOUND:
-        raise SizeBoundError(
-            f"size bound: a tangent table up to length {bound} would weigh {size},"
-            f" more than {TANGENT_TABLE_BOUND}"
-        )
-    return bound
-
-
-class TangentEndo:
-    """Extensional presentation of a tangent-to-identity endomorphism.
-
-    A finite table on nonempty words up to a length bound; evaluation kills
-    the unit word, and a word past the table is an error.  verify() checks
-    the defining properties against a structure's product: letters are
-    fixed and every product of two nonempty words is sent to zero.
-    """
-
-    __slots__ = ("alphabet", "table", "bound")
-
-    def __init__(self, alphabet, table, bound):
-        self.alphabet = alphabet
-        self.bound = _check_tangent_bound(alphabet, bound)
-        clean = {}
-        for w, val in table.items():
-            clean[w] = as_tensor(val) if val else LinComb.zero()
-        self.table = clean
-
-    @classmethod
-    def from_function(cls, alphabet, fn, bound):
-        bound = _check_tangent_bound(alphabet, bound)
-        table = {w: fn(w) for w in alphabet.words(bound, minlen=1)}
-        return cls(alphabet, table, bound)
-
-    def __call__(self, w):
-        if w.is_empty():
-            return LinComb.zero()
-        try:
-            return self.table[w]
-        except KeyError:
-            raise InputError(f"partial map: no value for {w}") from None
-
-    def verify(self, B):
-        """Bounded check of the tangent-to-identity properties."""
-        alphabet = self.alphabet
-        for i in range(len(alphabet)):
-            v = alphabet.letter(i)
-            if self(v) != LinComb.single(v):
-                return False
-        for w in alphabet.words(self.bound - 1, minlen=1):
-            for w2 in alphabet.words(self.bound - len(w), minlen=1):
-                img = induced_product(B, w, w2).apply(self)
-                if img:
-                    return False
-        return True
-
-
-def eulerian_tangent(B, bound):
-    """The canonical idempotent packaged as a verified table up to bound."""
-    return TangentEndo.from_function(
-        B.alphabet, lambda w: eulerian_idempotent(B, w), bound
-    )
-
-
-def omega_tilde(B, x, endo=None):
+def omega_tilde(B, x):
     """Hopf isomorphism from the induced product onto the shuffle product.
 
-    Built as the coalgebra endomorphism of the projection pi_V composed with
-    a tangent-to-identity endomorphism; the default endomorphism is the
-    canonical idempotent, whose projection is varpi.  A supplied
-    endomorphism is verified first.
+    The coalgebra endomorphism whose projection onto V is varpi: its
+    words.memo_lift, over the same kept |w|! varpi values.
     """
     x = as_tensor(x)
     if not x:
         return x
-    if endo is None:
-        return lift_comb(memo_lift(_scaled_varpi(B)), *B.index_terms(x))
-    if not endo.verify(B):
-        raise InputError("not tangent to identity")
-    return structure_endo(lambda w: _letter_part(endo(w)), x)
+    return lift_comb(memo_lift(_scaled_varpi(B)), *B.index_terms(x))
 
 
 def zeta_tilde(B, x):
@@ -335,35 +236,32 @@ def zeta_tilde(B, x):
     return lift_comb(lift, *B.index_terms(x))
 
 
-def _fold_mult(B_or_mult, w):
-    check_word_bound(len(w))
-    if isinstance(B_or_mult, BInftyStructure):
-        if B_or_mult.mode != QUASI_SHUFFLE:
-            raise InputError("Hoffman closed forms need a quasi_shuffle structure")
-        mult = B_or_mult.mult
-    else:
-        mult = B_or_mult
-    names = w.names
-    acc = names[0]
-    for name in names[1:]:
-        try:
-            acc = mult[(acc, name)]
-        except KeyError:
-            raise InputError(f"multiplication table is missing {acc} * {name}") from None
-    return LinComb.single(w.alphabet.letter(w.alphabet.index(acc)))
+def _fold_mult(B, w):
+    """The letter v1 * ... * vn of a nonempty word w of a quasi-shuffle B.
+
+    w is read through B.index_terms, which refuses a word past WORD_BOUND
+    and one over another alphabet, before the mode is checked.
+    """
+    if not isinstance(w, Word):
+        raise InputError(f"Hoffman closed forms take a word, not a {type(w).__name__}")
+    alphabet, terms, _ = B.index_terms(w)
+    if B.mode != QUASI_SHUFFLE:
+        raise InputError("Hoffman closed forms need a quasi_shuffle structure")
+    (idx,) = terms
+    return LinComb.single(alphabet.letter(reduce(B.letter_product, idx)))
 
 
-def hoffman_log(mult, w):
-    """Closed form of varpi for a quasi-shuffle: (-1)^(n-1)/n v1...vn."""
+def hoffman_log(B, w):
+    """Closed form of varpi(w) on a quasi-shuffle structure B: (-1)^(n-1)/n v1...vn."""
     n = len(w)
     if n == 0:
         return LinComb.zero()
-    return Fraction((-1) ** (n - 1), n) * _fold_mult(mult, w)
+    return Fraction((-1) ** (n - 1), n) * _fold_mult(B, w)
 
 
-def hoffman_exp(mult, w):
-    """Closed form of zeta for a quasi-shuffle: 1/n! v1...vn."""
+def hoffman_exp(B, w):
+    """Closed form of zeta(w) on a quasi-shuffle structure B: 1/n! v1...vn."""
     n = len(w)
     if n == 0:
         return LinComb.zero()
-    return Fraction(1, factorial(n)) * _fold_mult(mult, w)
+    return Fraction(1, factorial(n)) * _fold_mult(B, w)

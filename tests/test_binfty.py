@@ -262,6 +262,14 @@ def test_quasi_shuffle_table_must_be_total():
         BInftyStructure.quasi_shuffle(ab, {("a", "a"): "b"})
 
 
+@pytest.mark.parametrize("extra", [{("a", "a"): "z"}, {("z", "a"): "a"}], ids=["value", "key"])
+def test_quasi_shuffle_table_names_only_its_letters(extra):
+    ab = Alphabet("a:1, b:1")
+    total = {(x, y): "b" for x in "ab" for y in "ab"}
+    with pytest.raises(InputError, match="unknown letter 'z'"):
+        BInftyStructure.quasi_shuffle(ab, {**total, **extra})
+
+
 def test_is_degree_graded(qs3, sh3, flalg):
     assert qs3.is_degree_graded() is False  # saturation breaks the grading
     assert sh3.is_degree_graded() is True

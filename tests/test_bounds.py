@@ -26,10 +26,8 @@ import pytest
 
 import gebra
 from gebra import topo
-from gebra.binfty import BInftyStructure, axiom_check_size
+from gebra.binfty import axiom_check_size
 from gebra.exactlin import SizeBoundError
-from gebra.idem import eulerian_tangent, tangent_table_size
-from gebra.words import Alphabet
 
 
 def gebra_argv(*argv):
@@ -90,27 +88,6 @@ BOUNDS = [
         5.0,
         lambda c: gebra_argv("binf", "check", "--alphabet", "a,b", "--budget",
                              str(next(b for b in count(1) if axiom_check_size(2, b) > c))),
-        "more than {}",
-    ),
-    Bound(
-        "idem", "TANGENT_TABLE_BOUND", tangent_table_size(14, 3), tangent_table_size(14, 4),
-        ("-c", "from gebra.words import Alphabet; from gebra.binfty import BInftyStructure as S; "
-               "from gebra.idem import eulerian_tangent; n = 14; "
-               "a = Alphabet(', '.join(f'x{i}:{i}' for i in range(1, n + 1))); "
-               "B = S.quasi_shuffle(a, {(f'x{i}', f'x{j}'): f'x{min(i + j, n)}' "
-               "for i in range(1, n + 1) for j in range(1, n + 1)}); "
-               "E = eulerian_tangent(B, 3); print(E.verify(B), sum(map(len, E.table.values())))"),
-        "True 32802\n",
-        "eulerian_tangent then verify on the saturating quasi-shuffle tables x_i * x_j = "
-        "x_min(i+j, n), on their max, min and cyclic variants and on shuffle, at the last "
-        "bound admitted for 1-5 and 14 letters and for 99 letters (bound 2): this one took "
-        "1.8 s as a process, 5 letters at bound 4 1.75 s, the other products 1.2-1.5 s in "
-        "process.  A dense explicit table can take longer: tables are weighed by word "
-        "count, not density (ROADMAP item 6).",
-        5.0,
-        lambda c: lambda: eulerian_tangent(
-            BInftyStructure.shuffle(Alphabet("a, b, c, d, e")),
-            next(b for b in count(1) if tangent_table_size(5, b) > c)),
         "more than {}",
     ),
     Bound(

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from gebra.exactlin import InputError, LinComb, Poly, SizeBoundError, lin_sum
 from gebra.words import Alphabet, block_decompositions, parse_word, reduced_coproduct_iter
 from gebra.binfty import BInftyStructure, check_axioms
-from gebra.idem import TangentEndo, eulerian_tangent
 from gebra.topo import QuasiOrder, closed_form_e, delta_bar_tuples, set_partitions, surjection_count
 from gebra.descent import (
     DescElem,
@@ -73,7 +72,6 @@ def test_permutation_basics():
         lambda v: DescElem(v, {}),
         lambda v: Alphabet([("a", v), "b"]),
         lambda v: BInftyStructure.explicit(Alphabet("a"), {}, bound=v),
-        lambda v: TangentEndo(Alphabet("a"), {}, v),
         lambda v: Poly({v: 1}),
         lambda v: check_axioms(BInftyStructure.shuffle(Alphabet("a")), v),
         lambda v: reduced_coproduct_iter(parse_word("a.a", Alphabet("a")), v),
@@ -81,15 +79,14 @@ def test_permutation_basics():
         lambda v: surjection_count(2, v),
         lambda v: closed_form_e("ladder", v),
         lambda v: list(set_partitions(v)),
-        lambda v: eulerian_tangent(BInftyStructure.shuffle(Alphabet("a")), v),
         lambda v: list(compositions(v)),
         lambda v: list(block_decompositions(parse_word("a.a", Alphabet("a")), v)),
         lambda v: list(delta_bar_tuples(QuasiOrder(2), v)),
     ],
     ids=["Permutation", "dynkin_desc", "solomon_desc", "GroupAlgElem", "DescElem",
-         "Alphabet-degree", "BInftyStructure-bound", "TangentEndo-bound", "Poly-exponent",
+         "Alphabet-degree", "BInftyStructure-bound", "Poly-exponent",
          "check_axioms-budget", "reduced_coproduct_iter-k", "surjection_count-n",
-         "surjection_count-k", "closed_form_e-n", "set_partitions-n", "eulerian_tangent-bound",
+         "surjection_count-k", "closed_form_e-n", "set_partitions-n",
          "compositions-n", "block_decompositions-k", "delta_bar_tuples-k"],
 )
 @pytest.mark.parametrize("v", [1.5, 2.0, "2"])

@@ -1,5 +1,6 @@
 """Canonical idempotents and the isomorphism onto the shuffle algebra."""
 
+import copy
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from fractions import Fraction
 from gebra.exactlin import InputError, LinComb, SizeBoundError
 from gebra.words import (
     WORD_BOUND,
+    Alphabet,
     LetterMap,
     cofree_lift,
     inverse_structure_endo,
@@ -18,9 +20,7 @@ from gebra.words import (
 )
 from gebra.binfty import induced_product, surjection_product_oracle
 from gebra.idem import (
-    TangentEndo,
     eulerian_idempotent,
-    eulerian_tangent,
     hoffman_exp,
     hoffman_log,
     omega_tilde,
@@ -45,7 +45,7 @@ WORD_ENTRIES = {
     "inverse_structure_endo": lambda B, w: inverse_structure_endo(_fixing(B), w),
     "reduced_coproduct_iter": lambda B, w: reduced_coproduct_iter(w, 2),
     "hoffman_log": lambda B, w: hoffman_log(B, w),
-    "hoffman_exp": lambda B, w: hoffman_exp(B.mult, w),
+    "hoffman_exp": lambda B, w: hoffman_exp(B, w),
     "induced_product": lambda B, w: induced_product(B, w[:5], w[5:]),
 }
 
@@ -119,11 +119,27 @@ def test_hoffman_requires_quasi_shuffle(sh3, alph3):
         hoffman_log(sh3, parse_word("x1.x1", alph3))
 
 
-def test_hoffman_accepts_bare_tables(alph3):
-    w = parse_word("x1.x1", alph3)
-    assert hoffman_log({("x1", "x1"): "x2"}, w) == parse_tensor("-1/2*x2", alph3)
-    with pytest.raises(InputError, match="missing"):
-        hoffman_log({}, w)
+@pytest.mark.parametrize("hoffman", [hoffman_log, hoffman_exp])
+def test_hoffman_refuses_a_word_over_another_alphabet(hoffman, qs3):
+    # the same letter names, of degree 1: not the letters of qs3
+    w = parse_word("x1.x1", Alphabet("x1, x2, x3"))
+    with pytest.raises(InputError, match="different alphabets"):
+        hoffman(qs3, w)
+
+
+@pytest.mark.parametrize("hoffman", [hoffman_log, hoffman_exp])
+def test_hoffman_refuses_a_combination(hoffman, qs3, alph3):
+    for text in ("3*x1.x1", "x1 + x2"):
+        with pytest.raises(InputError, match="take a word, not a LinComb"):
+            hoffman(qs3, parse_tensor(text, alph3))
+
+
+def test_hoffman_refuses_length_before_mode(sh3, alph3):
+    w = parse_word(".".join(["x1"] * (WORD_BOUND + 1)), alph3)
+    with pytest.raises(SizeBoundError, match=f"stop at length {WORD_BOUND}$"):
+        hoffman_log(sh3, w)
+    with pytest.raises(InputError, match="quasi_shuffle"):
+        hoffman_log(sh3, w[:WORD_BOUND])
 
 
 def test_omega_tilde_known_value(qs3, alph3):
@@ -180,26 +196,10 @@ def test_omega_tilde_is_a_coalgebra_map(qs3, alph3):
         assert lhs == rhs
 
 
-def test_eulerian_tangent_verifies(qs3):
-    endo = eulerian_tangent(qs3, 4)
-    assert endo.verify(qs3) is True
-
-
-def test_bad_endo_is_rejected(qs3, alph3):
-    # nonzero on a product: not tangent to identity
-    def fn(w):
-        return LinComb.single(w[:1])
-
-    bad = TangentEndo.from_function(alph3, fn, 3)
-    assert bad.verify(qs3) is False
-    with pytest.raises(InputError, match="not tangent to identity"):
-        omega_tilde(qs3, parse_word("x1.x1", alph3), endo=bad)
-
-
 def test_custom_endo_matches_default(qs3, alph3):
-    endo = eulerian_tangent(qs3, 3)
     for w in alph3.words(3, minlen=1):
-        assert omega_tilde(qs3, w, endo=endo) == omega_tilde(qs3, w)
+        lifted = structure_endo(lambda u: letter_part(eulerian_idempotent(qs3, u)), w)
+        assert lifted == omega_tilde(qs3, w)
 
 
 def test_omega_tilde_naturality_under_semigroup_maps(qs8, alph8):
@@ -491,12 +491,10 @@ def _run_word_side_op(B, kind, text):
 
 
 def _fresh(B):
-    """A new structure with B's table, so nothing B keeps is shared."""
-    from gebra.binfty import EXPLICIT, BInftyStructure
-
-    if B.mode == EXPLICIT:
-        return BInftyStructure.explicit(B.alphabet, B.table, bound=B.bound)
-    return BInftyStructure(B.alphabet, B.mode, mult=B.mult)
+    """A copy of B with no kept values, so nothing B keeps is shared."""
+    fresh = copy.copy(B)
+    fresh.letter_maps = {}
+    return fresh
 
 
 def test_kept_values_print_the_same_bytes_cold_warm_and_reversed(random_tables):
